@@ -11,7 +11,9 @@ one.
 
 Because the no-optimization arm is orders of magnitude slower, every
 arm is timed per permutation (the paper's 1000-permutation cost is the
-per-permutation cost times 1000).
+per-permutation cost times 1000). The paper's arms and the bigint arm
+run through the serial reference scorer of :mod:`repro.ablation`; the
+last arm is the production :class:`PermutationEngine`.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from __future__ import annotations
 import time
 
 from _scale import banner, current_scale
+from repro.ablation import ReferenceScorer
 from repro.corrections import PermutationEngine
 from repro.data import (
     GeneratorConfig,
@@ -76,10 +79,17 @@ def _time_per_permutation(dataset, patterns, min_sup, arm,
         import dataclasses
         ruleset = dataclasses.replace(
             ruleset, rules=ruleset.rules[:_DIRECT_SAMPLE])
-    engine = PermutationEngine(ruleset, n_permutations=n_permutations,
-                               seed=11, policy=policy, pvalue_mode=mode)
+    if policy == "packed":
+        engine = PermutationEngine(ruleset,
+                                   n_permutations=n_permutations, seed=11)
+        run = engine.run
+    else:
+        scorer = ReferenceScorer(ruleset, storage=policy, lookup=mode)
+
+        def run():
+            scorer.statistics(n_permutations, 11)
     start = time.perf_counter()
-    engine.run()
+    run()
     per_permutation = (time.perf_counter() - start) / n_permutations
     return per_permutation * scale_factor
 
@@ -87,8 +97,8 @@ def _time_per_permutation(dataset, patterns, min_sup, arm,
 def run_ablation():
     # Warm the lazy native kernel so its one-time compile never lands
     # inside a timed region (it would be charged to the packed arm).
-    from repro._native import load_kernel
-    load_kernel()
+    from repro._native import load_suite
+    load_suite()
     scale = current_scale()
     rows = []
     for name, dataset, min_sup in _datasets():

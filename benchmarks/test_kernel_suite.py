@@ -13,16 +13,13 @@ times, per dataset shape:
   closed miner's child-support pass) against the per-candidate Python
   ``intersection_count`` loop — the acceptance-gated ratio;
 * the **multi-class batched supports**
-  (``PatternForest.class_supports_multi``, one dispatch for all
-  classes) against the historical one-call-per-class loop;
+  (``BitMatrix.class_supports_multi``, one dispatch for all classes)
+  against the historical one-call-per-class loop;
 * the **andnot recurrence** (:func:`~repro.bitmat.andnot_counts`, the
   diffset builder's sizing pass) against the per-pair Python
-  ``andnot_count`` loop;
+  ``andnot_count`` loop.
 
-plus the packed-vs-diffsets per-labelling times at a dense and a very
-sparse density, the measured crossover behind ``--policy auto``
-(:func:`repro.mining.diffsets.resolve_auto_policy`). Every timed pair
-is asserted equal before any number counts. Results land in the
+Every timed pair is asserted equal before any number counts. Results land in the
 repo-root ``BENCH_kernels.json`` (``REPRO_BENCH_JSON`` overrides) in
 the shared envelope; the gated ratio is the enumeration join on the
 10k-record x 1k-item reference shape.
@@ -36,9 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from _scale import banner, bench_envelope, current_scale, write_bench
-from repro.bitmat import andnot_counts, superset_mask
-from repro.mining import PatternForest
-from repro.mining.patterns import Pattern
+from repro.bitmat import BitMatrix, andnot_counts, superset_mask
 from repro.mining.tidsets import build_vertical_view
 from repro.tidvector import TidVector, arena_rows, pack_bool_matrix
 
@@ -104,11 +99,7 @@ def _bench_shape(n_records, n_items, repeats, rng):
     join = _ratio_block(python_s, kernel_s)
 
     # -- multi-class batched supports vs one call per class ---------- #
-    patterns = [Pattern(node_id=i, parent_id=-1,
-                        items=frozenset((i,)), tidset=t,
-                        support=t.count(), depth=0)
-                for i, t in enumerate(view.tidsets)]
-    forest = PatternForest(patterns, n_records, "packed")
+    forest = BitMatrix.from_tidsets(view.tidsets, n_records)
     labels = rng.integers(0, N_CLASSES, size=(BATCH, n_records))
     stacked = np.stack([labels == c for c in range(N_CLASSES)])
     python_s, python_out = _timed(
@@ -151,46 +142,6 @@ def _ratio_block(python_seconds, kernel_seconds):
     }
 
 
-def _policy_crossover(rng, repeats):
-    """Packed vs diffsets per-labelling cost at two densities.
-
-    The dense side shows the packed sweep winning outright; the very
-    sparse side shows the gather path closing in — the measured basis
-    for ``resolve_auto_policy``'s density crossover.
-    """
-    n_records, n_nodes = 10_000, 500
-    out = {}
-    for label, density in (("dense_10pct", 0.1),
-                           ("sparse_0.1pct", 0.001)):
-        flags = rng.random((n_nodes, n_records)) < density
-        arena = pack_bool_matrix(flags)
-        tidsets = arena_rows(arena, n_records)
-        patterns = [Pattern(node_id=i, parent_id=-1,
-                            items=frozenset((i,)), tidset=t,
-                            support=t.count(), depth=0)
-                    for i, t in enumerate(tidsets)]
-        indicator = rng.random(n_records) < 0.5
-        timings = {}
-        reference = None
-        for policy in ("packed", "diffsets"):
-            forest = PatternForest(patterns, n_records, policy)
-            seconds, result = _timed(
-                lambda f=forest: f.class_supports(indicator), repeats)
-            if reference is None:
-                reference = result
-            else:
-                assert np.array_equal(reference, result)
-            timings[policy] = seconds * 1000
-        out[label] = {
-            "n_records": n_records,
-            "n_nodes": n_nodes,
-            "density": density,
-            "packed_ms": timings["packed"],
-            "diffsets_ms": timings["diffsets"],
-        }
-    return out
-
-
 def test_kernel_suite():
     scale = current_scale()
     repeats = 1 if scale.name == "smoke" else 3
@@ -200,7 +151,6 @@ def test_kernel_suite():
               for n_records, n_items
               in (REFERENCE_SHAPE,) + _EXTRA_SHAPES[scale.name]]
     reference = shapes[0]
-    crossover = _policy_crossover(rng, repeats)
 
     record = bench_envelope(
         "kernel_suite",
@@ -213,7 +163,6 @@ def test_kernel_suite():
         metrics={
             "reference_shape": list(REFERENCE_SHAPE),
             "shapes": shapes,
-            "policy_crossover": crossover,
         },
     )
     out_path = write_bench(record, str(DEFAULT_OUT))
@@ -229,10 +178,6 @@ def test_kernel_suite():
                 f"  {key:22s} {block['python_ms']:9.2f} ms -> "
                 f"{block['kernel_ms']:9.2f} ms "
                 f"({block['speedup']:.1f}x)")
-    for label, block in crossover.items():
-        lines.append(
-            f"crossover {label}: packed {block['packed_ms']:.2f} ms, "
-            f"diffsets {block['diffsets_ms']:.2f} ms per labelling")
     print()
     print(banner("native kernel suite vs pure-Python word loops",
                  "\n".join(lines)))

@@ -2,15 +2,16 @@
 
 The PR-4 tentpole replaced the permutation engine's counting kernel —
 a Python loop over arbitrary-precision-int ``popcount(t & class_bits)``
-per forest node (the ``"bitset"`` policy) — with the packed uint64
-:class:`~repro.bitmat.BitMatrix` (the ``"packed"`` policy): the whole
-forest answers one labelling, or a whole *batch* of labellings, through
-C-level ``bitwise_and`` + ``bitwise_count`` + row sums.
+per forest node (the ``"bitset"`` storage, now the bigint arm of
+:mod:`repro.ablation`) — with the packed uint64
+:class:`~repro.bitmat.BitMatrix`: the whole forest answers one
+labelling, or a whole *batch* of labellings, through C-level
+``bitwise_and`` + ``bitwise_count`` + row sums.
 
 This bench times both kernels head-to-head on a 1000-pattern × 10k-
 record forest (the acceptance gate: the batch kernel must be >= 5x the
-bigint loop per labelling) and the end-to-end permutation pass under
-both policies, then rewrites the repo-root ``BENCH_permutation.json``
+bigint loop per labelling) and the end-to-end permutation pass of the
+bigint reference arm against the packed engine, then rewrites the repo-root ``BENCH_permutation.json``
 artifact with this run's numbers — the first entry of the repo's perf
 trajectory; CI archives one per commit (``REPRO_BENCH_JSON``
 overrides the path).
@@ -25,9 +26,11 @@ import numpy as np
 
 from _scale import banner, bench_envelope, current_scale, write_bench
 from repro import bitset as bs
+from repro.ablation import ReferenceForest, ReferenceScorer
+from repro.bitmat import BitMatrix
 from repro.corrections import PermutationEngine
 from repro.data import GeneratorConfig, generate
-from repro.mining import PatternForest, mine_class_rules
+from repro.mining import mine_class_rules
 from repro.mining.patterns import Pattern
 
 KERNEL_PATTERNS = 1000
@@ -43,7 +46,7 @@ def _synthetic_forest(n_patterns: int, n_records: int, seed: int):
     """A flat DFS forest of random ~10%-density tidsets.
 
     Kernel timing needs controlled shape, not mined structure: every
-    node is a root, so both policies store exactly ``n_patterns``
+    node is a root, so both kernels store exactly ``n_patterns``
     tidsets of the same universe.
     """
     rng = np.random.default_rng(seed)
@@ -78,8 +81,9 @@ def test_permutation_kernel():
     # ------------------------------------------------------------- #
     patterns, indicator = _synthetic_forest(KERNEL_PATTERNS,
                                             KERNEL_RECORDS, SEED)
-    bigint_forest = PatternForest(patterns, KERNEL_RECORDS, "bitset")
-    packed_forest = PatternForest(patterns, KERNEL_RECORDS, "packed")
+    bigint_forest = ReferenceForest(patterns, KERNEL_RECORDS, "bitset")
+    packed_forest = BitMatrix.from_tidsets(
+        [p.tidset for p in patterns], KERNEL_RECORDS)
 
     bigint_seconds, bigint_out = _timed_repeat(
         lambda: bigint_forest.class_supports(indicator))
@@ -100,7 +104,7 @@ def test_permutation_kernel():
     speedup_batch = bigint_seconds / max(batch_per_labelling, 1e-12)
 
     # ------------------------------------------------------------- #
-    # end-to-end permutation pass, bitset vs packed policy           #
+    # end-to-end permutation pass, bigint arm vs packed engine       #
     # ------------------------------------------------------------- #
     config = GeneratorConfig(
         n_records=scale.synth_records, n_attributes=24, n_rules=2,
@@ -110,22 +114,19 @@ def test_permutation_kernel():
     ruleset = mine_class_rules(generate(config, seed=SEED).dataset,
                                scale.synth_records // 5)
     n_perm = scale.runtime_permutations
-    end_to_end = {}
-    reference = None
-    for policy in ("bitset", "packed"):
-        engine = PermutationEngine(ruleset, n_permutations=n_perm,
-                                   seed=SEED, policy=policy)
-        elapsed, _ = _timed_repeat(lambda e=engine: e.run(), repeats=1)
-        distribution = engine.min_p_distribution()
-        if reference is None:
-            reference = distribution
-        else:
-            # Hard guarantee: the policies are bit-identical.
-            assert (distribution == reference).all()
-        end_to_end[policy] = {
-            "seconds": elapsed,
-            "ms_per_permutation": elapsed * 1000 / n_perm,
-        }
+    scorer = ReferenceScorer(ruleset, storage="bitset")
+    engine = PermutationEngine(ruleset, n_permutations=n_perm, seed=SEED)
+    bigint_seconds_e2e, reference = _timed_repeat(
+        lambda: scorer.statistics(n_perm, SEED)[0], repeats=1)
+    packed_seconds_e2e, _ = _timed_repeat(engine.run, repeats=1)
+    # Hard guarantee: the two arms are bit-identical.
+    assert (engine.min_p_distribution() == reference).all()
+    end_to_end = {
+        policy: {"seconds": seconds,
+                 "ms_per_permutation": seconds * 1000 / n_perm}
+        for policy, seconds in (("bitset", bigint_seconds_e2e),
+                                ("packed", packed_seconds_e2e))
+    }
     end_to_end_speedup = (end_to_end["bitset"]["seconds"]
                           / max(end_to_end["packed"]["seconds"], 1e-12))
 
@@ -166,9 +167,9 @@ def test_permutation_kernel():
         f"  packed batch:  {batch_per_labelling * 1000:8.3f} "
         f"ms/labelling ({speedup_batch:.1f}x, B={KERNEL_BATCH})",
         f"end-to-end ({n_perm} permutations, {ruleset.n_tests} rules):",
-        f"  bitset policy: "
+        f"  bitset arm:    "
         f"{end_to_end['bitset']['ms_per_permutation']:8.3f} ms/perm",
-        f"  packed policy: "
+        f"  packed engine: "
         f"{end_to_end['packed']['ms_per_permutation']:8.3f} ms/perm "
         f"({end_to_end_speedup:.1f}x)",
     ]

@@ -29,8 +29,8 @@ compiler) a small suite of fused loops and loads them through
       out[j] = sum_w popcount(a[j][w] & ~b[j][w])
 
   behind :func:`repro.bitmat.andnot_counts`, which sizes the
-  word-wise ``parent \\ child`` difference blocks of
-  :class:`repro.mining.diffsets.PatternForest`.
+  word-wise ``parent \\ child`` difference blocks of the Fig 4
+  Diffsets arm (:class:`repro.ablation.ReferenceForest`).
 
 Each call releases the GIL, so the kernels also scale on the
 ``threads`` backend. Everything here is best-effort: no compiler
@@ -60,7 +60,7 @@ from typing import Optional
 
 from .testing import faults
 
-__all__ = ["KernelSuite", "load_kernel", "load_suite", "native_status"]
+__all__ = ["KernelSuite", "load_suite", "native_status"]
 
 _SOURCE = r"""
 #include <stdint.h>
@@ -362,17 +362,6 @@ def load_suite() -> Optional[KernelSuite]:
         return suite
     _kernel, _status = None, "compile failed (numpy fallback)"
     return None
-
-
-def load_kernel():
-    """The batched class-support kernel alone (compatibility entry).
-
-    Historical name from the single-kernel era; equivalent to
-    ``load_suite().class_supports_batch`` with the same ``None``
-    fallback contract.
-    """
-    suite = load_suite()
-    return None if suite is None else suite.class_supports_batch
 
 
 def native_status() -> str:

@@ -7,9 +7,11 @@ rules keep it that way:
 
 * **bitset-quarantine** — ``repro.bitset`` may be imported only by the
   converters that bridge representations (``bitmat.py``), the Fig 4
-  bigint ablation arm (``mining/diffsets.py``), and test/benchmark
-  oracles. Any other import re-opens the second representation the
-  refactor closed.
+  ablation arms (``ablation.py``), and test/benchmark oracles. Any
+  other import re-opens the second representation the refactor
+  closed. The same rule keeps ``repro.ablation`` itself out of
+  production: only tests and benchmarks may import it, so the Fig 4
+  arms can never become a runtime path again.
 * **uint64-dtype-promotion** — arithmetic between packed uint64 words
   and non-uint64 numpy operands silently promotes dtype (true division
   always lands in float64; mixing with signed arrays promotes or
@@ -29,14 +31,34 @@ from ._util import call_name, dotted_name, import_targets, numpy_aliases
 __all__ = ["BITSET_QUARANTINE", "UINT64_DTYPE_PROMOTION"]
 
 
+#: Production modules sanctioned to import ``repro.bitset``.
+_BITSET_BRIDGES = (
+    "repro/bitmat.py",        # byte-exact bigint<->packed bridge
+    "repro/ablation.py",      # Fig 4 bigint ablation arm
+    "repro/bitset.py",
+)
+
+
+def _imports(target: str, module: str) -> bool:
+    return target == module or target.startswith(module + ".")
+
+
 def _check_bitset_quarantine(tree, ctx):
     module = ctx.module
+    bridge = ctx.matches(_BITSET_BRIDGES)
     for node in ast.walk(tree):
         if not isinstance(node, (ast.Import, ast.ImportFrom)):
             continue
         for target in import_targets(node, module):
-            if target == "repro.bitset" or target.startswith(
-                    "repro.bitset."):
+            if _imports(target, "repro.ablation"):
+                yield ctx.finding(
+                    "bitset-quarantine", node,
+                    "import of repro.ablation — the Fig 4 ablation "
+                    "arms are a reference for tests and benchmarks "
+                    "only; production scores through the packed "
+                    "PermutationEngine")
+                break
+            if not bridge and _imports(target, "repro.bitset"):
                 yield ctx.finding(
                     "bitset-quarantine", node,
                     "import of repro.bitset — the bigint bitset is an "
@@ -177,16 +199,13 @@ BITSET_QUARANTINE = register_rule(Rule(
     check_fn=_check_bitset_quarantine,
     aliases=("no-bitset-import",),
     description="repro.bitset importable only from the interop "
-                "converters, the bigint ablation arm, and test "
-                "oracles",
+                "converters, the Fig 4 ablation arms, and test "
+                "oracles; repro.ablation only from tests and "
+                "benchmarks",
     invariant="one record-set representation (PR 5): TidVector arenas "
-              "end-to-end; repro.bitset is a deprecated interop shim",
-    exclude=(
-        "repro/bitmat.py",        # byte-exact bigint<->packed bridge
-        "repro/mining/diffsets.py",  # Fig 4 bigint ablation arm
-        "repro/bitset.py",
-        "tests/*", "benchmarks/*",
-    ),
+              "end-to-end; repro.bitset is a deprecated interop shim; "
+              "one production permutation path",
+    exclude=("tests/*", "benchmarks/*"),
 ))
 
 UINT64_DTYPE_PROMOTION = register_rule(Rule(
@@ -200,7 +219,7 @@ UINT64_DTYPE_PROMOTION = register_rule(Rule(
               "popcount semantics",
     paths=(
         "repro/tidvector.py", "repro/bitmat.py", "repro/_native.py",
-        "repro/mining/diffsets.py", "repro/mining/tidsets.py",
+        "repro/ablation.py", "repro/mining/tidsets.py",
         "repro/data/dataset.py",
     ),
 ))

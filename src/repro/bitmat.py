@@ -36,8 +36,8 @@ through :mod:`repro._native` with silent numpy fallbacks:
   (``query & ~row == 0`` per row); the closed miner's closure check
   (:meth:`repro.mining.tidsets.VerticalView.superset_positions`);
 * :func:`andnot_counts` — ``popcount(a_row & ~b_row)`` per row pair;
-  sizes the word-wise diffset join of
-  :class:`repro.mining.diffsets.PatternForest`.
+  sizes the word-wise diffset join of the Fig 4 Diffsets arm
+  (:class:`repro.ablation.ReferenceForest`).
 
 Every kernel counts *exact integers* or compares exact words —
 results are bit-identical to the bigint path for any input, with the
@@ -456,8 +456,8 @@ def andnot_counts(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     ``a`` and ``b`` are equal-shape ``(k, n_words)`` uint64 arenas;
     entry ``j`` is the cardinality of the set difference
     ``a[j] \\ b[j]`` — the word-wise diffset recurrence that sizes
-    each ``parent \\ child`` block of
-    :class:`repro.mining.diffsets.PatternForest` in one pass. Exact
+    each ``parent \\ child`` block of the Diffsets arm
+    (:class:`repro.ablation.ReferenceForest`) in one pass. Exact
     integers under both the native kernel and the numpy fallback.
     """
     a = np.ascontiguousarray(a, dtype=np.uint64)

@@ -41,11 +41,11 @@ __all__ = [
 ]
 
 #: Filename suffixes sanctioned to import this shim: the TidVector
-#: bridge, the Diffsets miner's bigint interop, and the test-suite
-#: oracles (mirrors the ``bitset-quarantine`` lint rule's whitelist).
+#: bridge, the Fig 4 ablation arms, and the test-suite oracles
+#: (mirrors the ``bitset-quarantine`` lint rule's whitelist).
 _SANCTIONED_SUFFIXES = (
     "repro/bitmat.py",
-    "repro/mining/diffsets.py",
+    "repro/ablation.py",
 )
 _SANCTIONED_COMPONENTS = ("tests", "benchmarks")
 
@@ -55,7 +55,7 @@ def warn_if_unsanctioned_import() -> None:
 
     Walks past the import machinery to the frame that triggered the
     import; files outside the quarantine whitelist (``bitmat.py``,
-    ``diffsets.py``, tests, benchmarks) get a warning pointing at
+    ``ablation.py``, tests, benchmarks) get a warning pointing at
     :class:`repro.tidvector.TidVector`. Interactive / frozen importers
     with no resolvable filename are left alone.
     """

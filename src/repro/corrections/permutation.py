@@ -12,29 +12,28 @@ Engineering, following the paper:
   the original mining run; a permutation only changes class labels, so
   each permutation costs one class-support pass over the pattern
   forest plus p-value lookups.
-* **Diffsets** (4.2.2): one of the forest's storage policies; see
-  :class:`~repro.mining.diffsets.PatternForest`. The default policy is
-  ``"packed"`` — the :class:`~repro.bitmat.BitMatrix` uint64 kernel —
-  which goes beyond the paper's storage optimisation and vectorizes
-  the *counting* itself: a shard's labellings are drawn up front into
-  a ``(B, n_records)`` label matrix, class supports for all B
-  labellings resolve through one batched hardware-popcount kernel per
-  class, and all ``B × n_rules`` p-values come back from the
-  vectorized lookup with a single 2-D fancy index. Min-p, pooled rank
-  counts and step-down suffix minima are then axis-wise numpy
-  reductions. Batches are processed in memory-bounded blocks, and
-  every quantity is an exact integer count or an identical table
-  lookup, so results are bit-identical to per-permutation scoring
-  under any policy, backend, and worker count.
+* **Diffsets** (4.2.2) are superseded by the packed
+  :class:`~repro.bitmat.BitMatrix`: every pattern's tidset is one row
+  of a uint64 matrix, which goes beyond the paper's storage
+  optimisation and vectorizes the *counting* itself. A shard's
+  labellings are drawn up front into a ``(B, n_records)`` label
+  matrix, class supports for all B labellings resolve through one
+  batched hardware-popcount kernel, and all ``B × n_rules`` p-values
+  come back from the vectorized lookup with a single 2-D fancy index.
+  Min-p, pooled rank counts and step-down suffix minima are then
+  axis-wise numpy reductions. Batches are processed in memory-bounded
+  blocks, and every quantity is an exact integer count or an
+  identical table lookup, so results are bit-identical under any
+  backend, worker count and block size.
 * **P-value buffering** (4.2.3): every rule's p-value on every
   permutation is a table lookup in the
-  :class:`~repro.stats.pvalue_buffer.PValueBuffer` of its coverage.
-  Three lookup modes are exposed so the Figure 4 ablation can measure
-  each tier: ``"vectorized"`` (all buffers concatenated into one numpy
-  array — this library's fastest path), ``"cache"`` (the paper's
-  static+dynamic buffer cache, one Python lookup per rule), and
-  ``"direct"`` (no buffering: every p-value recomputed from scratch;
-  the "no optimization" arm).
+  :class:`~repro.stats.pvalue_buffer.PValueBuffer` of its coverage;
+  the buffers of all rules are concatenated into one numpy array.
+
+The paper's Figure 4 arms (full id-lists, Diffsets, the bigint
+bitset, the static+dynamic buffer cache and unbuffered scoring) live
+in :mod:`repro.ablation`, which reproduces the figure and serves as
+the test oracle for this engine.
 
 Error control (Section 4.2):
 
@@ -75,13 +74,8 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..bitmat import DEFAULT_BLOCK_BYTES
-from ..errors import CorrectionError
-from ..mining.diffsets import (
-    DEFAULT_POLICY,
-    POLICY_CHOICES,
-    PatternForest,
-)
+from ..bitmat import DEFAULT_BLOCK_BYTES, BitMatrix
+from ..errors import CorrectionError, MiningError
 from ..mining.rules import RuleSet
 from ..parallel import (
     get_executor,
@@ -91,13 +85,10 @@ from ..parallel import (
     slice_sequences,
     spawn_sequences,
 )
-from ..stats.fisher import fisher_two_tailed
 from .base import FDR, FWER, CorrectionResult, bh_step_up, validate_alpha
 
 __all__ = ["PermutationEngine", "permutation_fwer",
            "permutation_fwer_stepdown", "permutation_fdr"]
-
-_PVALUE_MODES = ("vectorized", "cache", "direct")
 
 
 class PermutationEngine:
@@ -125,27 +116,12 @@ class PermutationEngine:
         Results are bit-identical for every value.
     backend:
         ``"serial"``, ``"threads"`` or ``"processes"`` — see
-        :mod:`repro.parallel`. The ``threads`` backend fans out only
-        under the default ``"vectorized"`` p-value mode; the
-        ``"cache"``/``"direct"`` modes score through shared mutable
-        caches and fall back to serial there (use ``processes``).
-    policy:
-        Record-id storage policy for the pattern forest; one of
-        ``"packed"`` (default — the uint64 bitmap kernel),
-        ``"bitset"``, ``"diffsets"``, ``"full"``, or ``"auto"``
-        (resolved per dataset shape, see
-        :func:`repro.mining.diffsets.resolve_auto_policy`). All
-        policies return bit-identical results; see
-        ``docs/performance.md``.
-    pvalue_mode:
-        ``"vectorized"``, ``"cache"`` or ``"direct"`` — see module
-        docstring.
+        :mod:`repro.parallel`.
     batch_bytes:
-        Memory budget for one scoring block's intermediates under the
-        default ``"vectorized"`` mode: the shard's labellings are
-        scored in blocks of ``B`` permutations sized so the
-        ``B × n_rules`` p-value matrices and the packed kernel's
-        broadcast stay within this budget. The budget is *per
+        Memory budget for one scoring block's intermediates: the
+        shard's labellings are scored in blocks of ``B`` permutations
+        sized so the ``B × n_rules`` p-value matrices and the packed
+        kernel's broadcast stay within this budget. The budget is *per
         worker* — concurrent shards under ``threads`` each size
         their own blocks, so peak memory scales with ``n_jobs``.
         Block sizing never changes results, only peak memory.
@@ -166,26 +142,18 @@ class PermutationEngine:
     def __init__(self, ruleset: RuleSet, n_permutations: int = 1000,
                  seed: Optional[int] = None,
                  rng: Optional[random.Random] = None,
-                 policy: str = DEFAULT_POLICY,
-                 pvalue_mode: str = "vectorized",
                  n_jobs: int = 1,
                  backend: str = "serial",
                  batch_bytes: int = DEFAULT_BLOCK_BYTES,
                  word_block: Optional[int] = None) -> None:
         if n_permutations < 1:
             raise CorrectionError("n_permutations must be >= 1")
-        if policy not in POLICY_CHOICES:
-            raise CorrectionError(f"unknown forest policy {policy!r}")
-        if pvalue_mode not in _PVALUE_MODES:
-            raise CorrectionError(f"unknown pvalue_mode {pvalue_mode!r}")
         if seed is not None and rng is not None:
             raise CorrectionError("give seed or rng, not both")
         if batch_bytes < 1:
             raise CorrectionError("batch_bytes must be >= 1")
         self.ruleset = ruleset
         self.n_permutations = n_permutations
-        self.policy = policy
-        self.pvalue_mode = pvalue_mode
         self.batch_bytes = batch_bytes
         self._executor = get_executor(backend, n_jobs)
         self._seed_seq = (sequence_from_legacy_rng(rng)
@@ -199,25 +167,25 @@ class PermutationEngine:
         self.n = dataset.n_records
         self.n_tests = ruleset.n_tests
         self._labels = np.array(dataset.class_labels, dtype=np.int64)
-        self._forest = PatternForest(ruleset.patterns, self.n, policy)
+        patterns = ruleset.patterns
+        try:
+            self._matrix = BitMatrix.from_tidsets(
+                [p.tidset for p in patterns], self.n)
+        except ValueError as exc:
+            raise MiningError(str(exc)) from exc
+        self._supports = np.array([p.support for p in patterns],
+                                  dtype=np.int64)
         rules = ruleset.rules
         self._node_ids = np.array([r.pattern_id for r in rules],
                                   dtype=np.int64)
         self._classes = np.array([r.class_index for r in rules],
                                  dtype=np.int64)
-        self._coverages = np.array([r.coverage for r in rules],
-                                   dtype=np.int64)
         self._observed_p = np.array([r.p_value for r in rules])
-        self._class_supports = [dataset.class_support(c)
-                                for c in range(dataset.n_classes)]
         if word_block is not None and word_block < 0:
             raise CorrectionError("word_block must be >= 0")
         self.word_block = (self._auto_word_block()
                            if word_block is None else word_block)
-        if pvalue_mode == "vectorized":
-            self._lookup = _VectorizedLookup(self)
-        else:
-            self._lookup = None
+        self._lookup = _VectorizedLookup(ruleset)
 
     # ------------------------------------------------------------------
     # the shared permutation pass
@@ -248,16 +216,7 @@ class PermutationEngine:
         observed_sorted = self._observed_p[order]
         children = spawn_sequences(self._seed_seq, n_perm)
         slices = shard_slices(n_perm, self._executor.n_jobs)
-        # The "cache" and "direct" modes score through shared mutable
-        # caches (BufferCache's dynamic tier, log-factorial growth)
-        # that are not thread-safe; under threads they run serially
-        # rather than risk silent p-value corruption. Processes are
-        # fine (each worker owns a copy), and the default vectorized
-        # mode reads frozen arrays only.
-        thread_unsafe = (self._executor.backend == "threads"
-                         and self.pvalue_mode != "vectorized")
-        if (len(slices) <= 1 or self._executor.backend == "serial"
-                or thread_unsafe):
+        if len(slices) <= 1 or self._executor.backend == "serial":
             parts = [self._score_shard(children, order, observed_sorted)]
         else:
             # The engine (and with it the dataset/forest) is the shared
@@ -278,6 +237,22 @@ class PermutationEngine:
         self._observed_sorted = observed_sorted
         self._ran = True
 
+    def statistics(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The pass's three statistics (runs the pass).
+
+        The sorted per-permutation minimum p-values, then the pooled
+        rank counts and the step-down counts, both aligned with the
+        observed p-values in ascending order. Every correction derives
+        from these; :mod:`repro.ablation` computes the same triple
+        along the Figure 4 reference paths.
+        """
+        self.run()
+        assert self._min_p is not None
+        assert self._pooled_counts is not None
+        assert self._stepdown_counts is not None
+        return (self._min_p.copy(), self._pooled_counts.copy(),
+                self._stepdown_counts.copy())
+
     def _score_shard(self, seeds, order: np.ndarray,
                      observed_sorted: np.ndarray,
                      ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -286,28 +261,13 @@ class PermutationEngine:
         Each permutation draws a fresh labelling from its own spawned
         generator (``Generator.permutation`` of the *original* labels,
         never a cumulative in-place shuffle), so its stream is
-        independent of every other permutation's placement. The
-        default ``"vectorized"`` p-value mode scores the shard in
-        memory-bounded batches; the ``"cache"``/``"direct"`` modes
-        score one permutation at a time through their Python-level
-        caches. Both paths produce bit-identical statistics.
-        """
-        if self.pvalue_mode == "vectorized":
-            return self._score_shard_batched(seeds, order,
-                                             observed_sorted)
-        return self._score_shard_sequential(seeds, order,
-                                            observed_sorted)
+        independent of every other permutation's placement.
 
-    def _score_shard_batched(self, seeds, order: np.ndarray,
-                             observed_sorted: np.ndarray,
-                             ) -> Tuple[np.ndarray, np.ndarray,
-                                        np.ndarray]:
-        """Batched scoring: all of a block's labellings in one shot.
-
-        The block's labellings form a ``(B, n_records)`` matrix; one
-        batched class-support kernel call per needed class yields the
-        ``(B, n_rules)`` support matrix, one 2-D fancy index resolves
-        all p-values, and the three statistics reduce axis-wise:
+        The shard is scored in memory-bounded blocks. A block's
+        labellings form a ``(B, n_records)`` matrix; one batched
+        class-support kernel call yields the ``(B, n_rules)`` support
+        matrix, one 2-D fancy index resolves all p-values, and the
+        three statistics reduce axis-wise:
 
         * per-permutation minimum — a row min;
         * pooled rank counts — ``searchsorted`` of the observed
@@ -334,8 +294,7 @@ class PermutationEngine:
                 min_p[start:start + len(batch)] = 1.0
                 continue
             supports = self._rule_supports_batch(labels)
-            assert self._lookup is not None
-            perm_p = self._lookup.p_values_batch(supports)
+            perm_p = self._lookup.p_values(supports)
             min_p[start:start + len(batch)] = perm_p.min(axis=1)
             pooled += np.searchsorted(np.sort(perm_p, axis=None),
                                       observed_sorted, side="right")
@@ -349,42 +308,19 @@ class PermutationEngine:
                 axis=0, dtype=np.int64)
         return min_p, pooled, stepdown
 
-    def _score_shard_sequential(self, seeds, order: np.ndarray,
-                                observed_sorted: np.ndarray,
-                                ) -> Tuple[np.ndarray, np.ndarray,
-                                           np.ndarray]:
-        """One-permutation-at-a-time scoring (cache/direct modes)."""
-        min_p = np.empty(len(seeds))
-        pooled = np.zeros(len(observed_sorted), dtype=np.int64)
-        stepdown = np.zeros(len(observed_sorted), dtype=np.int64)
-        for j, seq in enumerate(seeds):
-            generator = np.random.default_rng(seq)
-            labels = generator.permutation(self._labels)
-            perm_p = self._score_permutation(labels)
-            min_p[j] = perm_p.min() if len(perm_p) else 1.0
-            pooled += np.searchsorted(np.sort(perm_p), observed_sorted,
-                                      side="right")
-            if len(perm_p):
-                # Suffix minima in observed-rank order: entry i is the
-                # minimum permutation p-value over rules ranked i..m-1,
-                # the step-down minP statistic for rank i.
-                suffix_min = np.minimum.accumulate(
-                    perm_p[order][::-1])[::-1]
-                stepdown += suffix_min <= observed_sorted
-        return min_p, pooled, stepdown
-
     def _batch_rows(self) -> int:
         """Permutations per scoring block under ``batch_bytes``.
 
         One batch row (one permutation) costs one label row, one or
         more ``n_nodes`` class-support rows, several ``n_rules``-wide
         float intermediates (supports, p-values, the pooled sort, the
-        ranked copy and its suffix minima), and — under the packed
-        policy — the kernel's ``n_nodes × n_words`` broadcast cells at
-        9 bytes each (uint64 AND + uint8 popcount).
+        ranked copy and its suffix minima), and the kernel's
+        ``n_nodes × n_words`` broadcast cells at 9 bytes each (uint64
+        AND + uint8 popcount).
         """
         n_rules = len(self._node_ids)
-        n_nodes = self._forest.n_nodes
+        matrix = self._matrix
+        n_nodes = matrix.n_rows
         # Binary datasets hold two class-support arrays (one computed,
         # one derived); multiclass runs hold one per class that
         # actually appears on a rule RHS, all alive at once.
@@ -396,15 +332,13 @@ class PermutationEngine:
         per_row = 8 * self.n
         per_row += class_arrays * 8 * n_nodes
         per_row += 6 * 8 * n_rules
-        matrix = self._forest.matrix
-        if matrix is not None:
-            # The packed kernel's own per-labelling intermediates —
-            # bitmat owns that accounting. A word-sharded pass only
-            # materializes one shard's broadcast at a time.
-            if self.word_block and self.word_block < matrix.n_words:
-                per_row += max(1, matrix.n_rows * self.word_block * 9)
-            else:
-                per_row += matrix.batch_row_bytes
+        # The packed kernel's own per-labelling intermediates — bitmat
+        # owns that accounting. A word-sharded pass only materializes
+        # one shard's broadcast at a time.
+        if self.word_block and self.word_block < matrix.n_words:
+            per_row += max(1, n_nodes * self.word_block * 9)
+        else:
+            per_row += matrix.batch_row_bytes
         return max(1, self.batch_bytes // max(per_row, 1))
 
     def _auto_word_block(self) -> int:
@@ -418,85 +352,36 @@ class PermutationEngine:
         leaving the other half for the block's labellings and p-value
         intermediates.
         """
-        matrix = self._forest.matrix
-        if matrix is None or not matrix.n_rows or not matrix.n_words:
+        matrix = self._matrix
+        if not matrix.n_rows or not matrix.n_words:
             return 0
         if matrix.batch_row_bytes <= self.batch_bytes:
             return 0
         return max(1, min(matrix.n_words - 1,
                           self.batch_bytes // (matrix.n_rows * 9 * 2)))
 
-    def _score_permutation(self, labels: np.ndarray) -> np.ndarray:
-        """P-values of every rule under one shuffled labelling."""
-        supports = self._rule_supports(labels)
-        if self.pvalue_mode == "vectorized":
-            assert self._lookup is not None
-            return self._lookup.p_values(supports)
-        if self.pvalue_mode == "cache":
-            caches = self.ruleset.caches
-            classes = self._classes
-            coverages = self._coverages
-            return np.array([
-                caches[int(classes[i])].p_value(int(supports[i]),
-                                                int(coverages[i]))
-                for i in range(len(supports))
-            ])
-        # "direct": no buffering at all — the Fig 4 baseline.
-        n = self.n
-        class_supports = self._class_supports
-        return np.array([
-            fisher_two_tailed(int(supports[i]), n,
-                              class_supports[int(self._classes[i])],
-                              int(self._coverages[i]))
-            for i in range(len(supports))
-        ])
-
-    def _rule_supports(self, labels: np.ndarray) -> np.ndarray:
-        """``supp(R)`` for every rule under the given labelling.
-
-        Binary datasets need one forest pass (class-1 supports derive
-        from coverage); multi-class datasets need one pass per class
-        that actually appears on a rule RHS.
-        """
-        n_classes = self.ruleset.dataset.n_classes
-        node_supports: Dict[int, np.ndarray] = {}
-        if n_classes == 2:
-            supp0 = self._forest.class_supports(labels == 0)
-            node_supports[0] = supp0
-            node_supports[1] = self._forest.supports - supp0
-        else:
-            needed = sorted(set(int(c) for c in self._classes))
-            for c in needed:
-                node_supports[c] = self._forest.class_supports(labels == c)
-        out = np.empty(len(self._node_ids), dtype=np.int64)
-        for c, per_node in node_supports.items():
-            mask = self._classes == c
-            out[mask] = per_node[self._node_ids[mask]]
-        return out
-
     def _rule_supports_batch(self, labels: np.ndarray) -> np.ndarray:
         """``supp(R)`` of every rule under every given labelling.
 
         ``labels`` is a ``(B, n_records)`` matrix of shuffled class
         labels; the result is the ``(B, n_rules)`` integer support
-        matrix. Binary datasets need one batched forest kernel call
-        (class-1 supports derive from coverage); multi-class datasets
-        stack the indicators of every class that appears on a rule RHS
-        into one multi-class kernel dispatch
-        (:meth:`~repro.mining.diffsets.PatternForest.
-        class_supports_multi`).
+        matrix. Binary datasets need one batched kernel call (class-1
+        supports derive from coverage); multi-class datasets stack the
+        indicators of every class that appears on a rule RHS into one
+        multi-class kernel dispatch
+        (:meth:`~repro.bitmat.BitMatrix.class_supports_multi`).
         """
         n_classes = self.ruleset.dataset.n_classes
         node_supports: Dict[int, np.ndarray] = {}
         if n_classes == 2:
-            supp0 = self._forest.class_supports_batch(
+            supp0 = self._matrix.class_supports_batch(
                 labels == 0, word_block=self.word_block)
             node_supports[0] = supp0
-            node_supports[1] = self._forest.supports[None, :] - supp0
+            node_supports[1] = self._supports[None, :] - supp0
         else:
             needed = sorted(set(int(c) for c in self._classes))
             stacked = np.stack([labels == c for c in needed])
-            per_class = self._forest.class_supports_multi(
+            per_class = self._matrix.class_supports_multi(
                 stacked, word_block=self.word_block)
             for i, c in enumerate(needed):
                 node_supports[c] = per_class[i]
@@ -553,8 +438,6 @@ class PermutationEngine:
             details={
                 "n_permutations": self.n_permutations,
                 "min_p_quantiles": _quantiles(self._min_p),
-                "policy": self.policy,
-                "pvalue_mode": self.pvalue_mode,
             },
         )
 
@@ -601,8 +484,6 @@ class PermutationEngine:
             details={
                 "n_permutations": self.n_permutations,
                 "n_rejected": k,
-                "policy": self.policy,
-                "pvalue_mode": self.pvalue_mode,
             },
         )
 
@@ -624,8 +505,6 @@ class PermutationEngine:
             details={
                 "n_permutations": self.n_permutations,
                 "empirical_cutoff": cut,
-                "policy": self.policy,
-                "pvalue_mode": self.pvalue_mode,
             },
         )
 
@@ -635,21 +514,20 @@ class _VectorizedLookup:
 
     Rule ``i``'s p-value for support ``k`` is
     ``flat[offset[i] + k]`` where ``offset[i]`` already absorbs the
-    buffer's lower bound, so a whole permutation resolves with one fancy
-    index.
+    buffer's lower bound, so a whole permutation — or a whole block of
+    them — resolves with one fancy index.
     """
 
-    def __init__(self, engine: PermutationEngine) -> None:
-        ruleset = engine.ruleset
+    def __init__(self, ruleset: RuleSet) -> None:
         segments: List[np.ndarray] = []
         # (class, coverage) -> (segment start in the flat array, buffer
         # lower bound), so offset = start - low maps support k directly
         # to its flat position.
         placed: Dict[Tuple[int, int], Tuple[int, int]] = {}
-        offsets = np.empty(len(engine._coverages), dtype=np.int64)
+        offsets = np.empty(len(ruleset.rules), dtype=np.int64)
         position = 0
-        for i in range(len(engine._coverages)):
-            key = (int(engine._classes[i]), int(engine._coverages[i]))
+        for i, rule in enumerate(ruleset.rules):
+            key = (int(rule.class_index), int(rule.coverage))
             if key not in placed:
                 buffer = ruleset.caches[key[0]].buffer_for(key[1])
                 segments.append(np.array(buffer.p_values()))
@@ -661,17 +539,13 @@ class _VectorizedLookup:
         self._offsets = offsets
 
     def p_values(self, supports: np.ndarray) -> np.ndarray:
-        """Look up every rule's p-value for the given supports."""
-        return self._flat[self._offsets + supports]
+        """Every rule's p-value for the given supports.
 
-    def p_values_batch(self, supports: np.ndarray) -> np.ndarray:
-        """All ``B × n_rules`` p-values with a single 2-D fancy index.
-
-        ``supports`` is the ``(B, n_rules)`` support matrix of a
-        scoring block; entry ``(b, i)`` of the result is exactly what
-        :meth:`p_values` returns for row ``b``.
+        ``supports`` is one ``n_rules`` support vector or a
+        ``(B, n_rules)`` support matrix (the offsets broadcast along
+        the last axis); the result has the same shape.
         """
-        return self._flat[self._offsets[None, :] + supports]
+        return self._flat[self._offsets + supports]
 
 
 def _score_shard_worker(context, seeds):

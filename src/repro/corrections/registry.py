@@ -46,7 +46,6 @@ from typing import (
 )
 
 from ..errors import CorrectionError
-from ..mining.diffsets import DEFAULT_POLICY
 
 __all__ = [
     "Correction",
@@ -94,11 +93,6 @@ class PipelineContext:
     scorer: str = "fisher"
     seed: Optional[int] = None
     n_permutations: int = 1000
-    # Storage/kernel policy of the permutation pass's pattern forest
-    # (repro.mining.diffsets.POLICY_CHOICES; the default is the packed
-    # uint64 bitmap kernel, "auto" resolves per dataset shape). Every
-    # policy is bit-identical in results.
-    policy: str = DEFAULT_POLICY
     permutation_seed: Optional[int] = None
     holdout_split: str = "random"
     holdout_boundary: Optional[int] = None
@@ -128,17 +122,13 @@ class PipelineContext:
         # n_jobs/backend stay out of the cache key on purpose: they
         # change the schedule, never the result, so an engine built
         # under one executor configuration is reusable under another.
-        # The forest policy is in the key even though it never changes
-        # results either — it decides which storage the pass keeps
-        # alive, which is exactly what a policy override asks about.
-        params = (self.n_permutations, seed, self.policy)
+        params = (self.n_permutations, seed)
         engine = self.shared.get("permutation-engine")
         if (not isinstance(engine, PermutationEngine)
                 or engine.ruleset is not ruleset
                 or self.shared.get("permutation-engine-params") != params):
             engine = PermutationEngine(
                 ruleset, n_permutations=self.n_permutations, seed=seed,
-                policy=self.policy,
                 n_jobs=self.n_jobs, backend=self.backend)
             self.shared["permutation-engine"] = engine
             self.shared["permutation-engine-params"] = params

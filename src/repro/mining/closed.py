@@ -26,7 +26,7 @@ vectorized ``tids & ~row`` pass over the whole item matrix
 instead of a per-item Python scan.
 
 Every emitted node records its tree parent, which the Diffsets storage
-policy (Section 4.2.2) and the permutation engine rely on.
+arm (Section 4.2.2) and the permutation engine rely on.
 """
 
 from __future__ import annotations

@@ -97,8 +97,9 @@ class Miner:
     validate_output:
         Run :meth:`PatternSet.validate` on every :meth:`mine` result
         (default on). A contract-violating forest would otherwise
-        flow into the Diffsets recursion and silently corrupt
-        permutation p-values; validation turns that into an immediate
+        flow into the consumers that walk the tree (the
+        representative reduction, the Diffsets recursion) and silently
+        corrupt their results; validation turns that into an immediate
         :class:`MiningError`. The built-ins turn it off — their
         adapters guarantee the contract (property-tested) and the
         check is pure overhead on the hot path.

@@ -11,11 +11,9 @@ served from storage — byte-identical to the uncached
 :meth:`~repro.core.pipeline.Pipeline.run` — instead of re-mined.
 
 The HTTP surface is one dependency-free ASGI application
-(:func:`create_app`): it runs under ``uvicorn`` in production, under
-the stdlib threaded bridge (:func:`repro.service.server.serve`) when
-uvicorn is not installed, and is wrapped by FastAPI when that is
-importable (same routes, same payloads — FastAPI supplies its
-middleware/ecosystem, not the routing). Start it with
+(:func:`create_app`): it runs under ``uvicorn`` in production and
+under the stdlib threaded bridge (:func:`repro.service.server.serve`)
+when uvicorn is not installed. Start it with
 ``python -m repro serve``; see ``docs/service.md``.
 """
 

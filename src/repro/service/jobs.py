@@ -50,7 +50,6 @@ from ..corrections.registry import resolve_correction
 from ..data.dataset import Dataset
 from ..errors import JobNotFound, ReproError, ServiceError
 from ..evaluation.export import _BASE_HEADER, rule_rows
-from ..mining.diffsets import DEFAULT_POLICY, POLICY_CHOICES
 from ..mining.registry import resolve_miner
 from ..parallel import get_executor, is_transient
 from .journal import DEFAULT_STALE_AFTER, JobJournal
@@ -75,7 +74,6 @@ _MINE_DEFAULTS = {
     "scorer": "fisher",
     "seed": 0,
     "n_permutations": 1000,
-    "policy": DEFAULT_POLICY,
     "holdout_split": "random",
     "redundancy_delta": None,
 }
@@ -99,6 +97,12 @@ _EXPERIMENT_DEFAULTS = {
 #: use these sentinels for the fingerprint/policy key slots.
 _EXPERIMENT_FINGERPRINT = "synthetic:experiment"
 _EXPERIMENT_POLICY = "experiment"
+
+#: The policy slot of a mine job's cache key. The permutation pass has
+#: one storage, so the slot is constant; it keeps the value default
+#: jobs were keyed with when the slot still varied, so stores written
+#: then keep serving hits.
+_MINE_POLICY = "packed"
 
 
 def bh_q_values(p_values: Sequence[float],
@@ -391,10 +395,6 @@ class JobManager:
             str(normalized["correction"]))
         normalized["algorithm"] = resolve_miner(
             str(normalized["algorithm"])).name
-        if normalized["policy"] not in POLICY_CHOICES:
-            raise ServiceError(
-                f"unknown forest policy {normalized['policy']!r}; "
-                f"pick from {sorted(POLICY_CHOICES)}")
         if normalized["holdout_split"] not in ("random", "structured"):
             raise ServiceError(
                 f"holdout_split must be 'random' or 'structured', "
@@ -908,8 +908,12 @@ class JobManager:
         entry = self.registry.get(str(params.pop("dataset")))
         miner = str(params.pop("algorithm"))
         correction = str(params.pop("correction"))
-        policy = str(params.pop("policy"))
-        return (entry.fingerprint, miner, correction, policy, params)
+        # A job journaled before the policy parameter was retired
+        # replays its stored params unvalidated; its stale entry must
+        # not leak into the key.
+        params.pop("policy", None)
+        return (entry.fingerprint, miner, correction, _MINE_POLICY,
+                params)
 
     def _execute_mine(self, job: Job) -> Tuple[Dict[str, object], bool]:
         from ..core.pipeline import Pipeline
@@ -929,7 +933,6 @@ class JobManager:
             max_length=params["max_length"],
             scorer=str(params["scorer"]), seed=int(params["seed"]),
             n_permutations=int(params["n_permutations"]),
-            policy=policy,
             holdout_split=str(params["holdout_split"]),
             redundancy_delta=params["redundancy_delta"],
             n_jobs=self.n_jobs, backend=self.backend)

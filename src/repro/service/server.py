@@ -88,8 +88,8 @@ def serve(config: Optional[ServiceConfig] = None,
         # uvicorn installs its own SIGTERM/SIGINT handling; the
         # lifespan shutdown event calls core.close(), which drains
         # the job workers before the process exits.
-        print(f"serving repro ({app.framework} app) on "
-              f"http://{host}:{port} via uvicorn", file=out)
+        print(f"serving repro on http://{host}:{port} via uvicorn",
+              file=out)
         uvicorn.run(app, host=host, port=port, log_level="warning")
         return 0
     server = make_stdlib_server(core, host, port)

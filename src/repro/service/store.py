@@ -15,9 +15,7 @@ the read path — "rules containing item X under BH at q < 0.05, top-k
 by lift" — is one indexed SQL query, never a payload scan.
 
 Storage is stdlib ``sqlite3`` in WAL mode behind one lock-serialized
-connection; :class:`AsyncArtifactStore` wraps it for async callers,
-through ``aiosqlite``-free ``asyncio.to_thread`` dispatch so the event
-loop never blocks on a query. Worker counts and backends are *not*
+connection. Worker counts and backends are *not*
 part of the key: the parallel subsystem guarantees bit-identical
 results at any worker count, so results cached at ``--jobs 1`` serve
 requests mined at ``--jobs 8`` and vice versa.
@@ -42,8 +40,7 @@ try:  # json module is stdlib; decouple the import for monkeypatching
 except ImportError:  # pragma: no cover - stdlib
     raise
 
-__all__ = ["ArtifactStore", "AsyncArtifactStore", "CachedArtifact",
-           "run_with_busy_retry"]
+__all__ = ["ArtifactStore", "CachedArtifact", "run_with_busy_retry"]
 
 STORE_SCHEMA_VERSION = 1
 
@@ -370,10 +367,14 @@ class ArtifactStore:
         conditions = []
         arguments: List[object] = []
         if item is not None:
+            # A list subquery, evaluated once: the item index yields
+            # the matching (artifact, rule) keys and the outer query
+            # probes them by primary key. A correlated EXISTS would
+            # re-search rule_items once per rule row.
             conditions.append(
-                "EXISTS (SELECT 1 FROM rule_items i WHERE "
-                "i.artifact_key = r.artifact_key AND "
-                "i.rule_index = r.rule_index AND i.item = ?)")
+                "(r.artifact_key, r.rule_index) IN (SELECT "
+                "i.artifact_key, i.rule_index FROM rule_items i "
+                "WHERE i.item = ?)")
             arguments.append(str(item))
         if class_name is not None:
             conditions.append("r.class = ?")
@@ -423,38 +424,3 @@ class ArtifactStore:
         return {"artifacts": artifacts, "rules": rules,
                 "journal_mode": journal_mode, "path": self.path,
                 "store_schema_version": STORE_SCHEMA_VERSION}
-
-
-class AsyncArtifactStore:
-    """Async facade over :class:`ArtifactStore`.
-
-    Dispatches every call through :func:`asyncio.to_thread` so an
-    async endpoint never blocks its event loop on SQLite I/O. (When
-    ``aiosqlite`` is installed a deployment can point it at the same
-    WAL database file for fully-async access; the schema and canonical
-    payload text are identical either way.)
-    """
-
-    def __init__(self, store: ArtifactStore) -> None:
-        self.store = store
-
-    async def get(self, *args, **kwargs):
-        import asyncio
-
-        return await asyncio.to_thread(self.store.get, *args, **kwargs)
-
-    async def put(self, *args, **kwargs):
-        import asyncio
-
-        return await asyncio.to_thread(self.store.put, *args, **kwargs)
-
-    async def query_rules(self, *args, **kwargs):
-        import asyncio
-
-        return await asyncio.to_thread(self.store.query_rules,
-                                       *args, **kwargs)
-
-    async def stats(self):
-        import asyncio
-
-        return await asyncio.to_thread(self.store.stats)

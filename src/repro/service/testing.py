@@ -1,7 +1,7 @@
 """In-repo ASGI test client (no httpx required).
 
-Drives any ASGI application — the builtin app or the FastAPI adapter —
-through a real ASGI ``scope``/``receive``/``send`` cycle, the same
+Drives any ASGI application — normally the builtin app — through a
+real ASGI ``scope``/``receive``/``send`` cycle, the same
 protocol uvicorn speaks, so end-to-end tests exercise the exact code
 path production requests take. Tests prefer ``httpx.ASGITransport``
 when httpx is installed (the CI service job does); this client keeps

@@ -141,6 +141,35 @@ class TestBitsetQuarantine:
             """)
         assert hits == []
 
+    def test_tn_ablation_arms_use_bigint(self):
+        hits = _run(self.RULE, "src/repro/ablation.py", """\
+            from . import bitset as bs
+            """)
+        assert hits == []
+
+    def test_tp_ablation_import_from_production(self):
+        hits = _run(self.RULE, "src/repro/corrections/permutation.py",
+                    """\
+            from ..ablation import ReferenceScorer
+            """)
+        assert len(hits) == 1
+        assert "repro.ablation" in hits[0].message
+
+    def test_tp_ablation_import_from_bridge(self):
+        # The bigint bridge may import repro.bitset, not the arms.
+        hits = _run(self.RULE, "src/repro/bitmat.py", """\
+            import repro.ablation
+            """)
+        assert len(hits) == 1
+
+    def test_tn_ablation_import_from_tests_and_benchmarks(self):
+        for path in ("tests/integration/test_reference_identity.py",
+                     "benchmarks/test_fig04_optimizations.py"):
+            hits = _run(self.RULE, path, """\
+                from repro.ablation import ReferenceForest
+                """)
+            assert hits == [], path
+
 
 class TestUnlockedSharedState:
     RULE = "unlocked-shared-state"

@@ -35,6 +35,15 @@ class TestParser:
             parser.parse_args(["mine", "x.csv", "--min-sup", "10",
                                "--correction", "magic"])
 
+    @pytest.mark.parametrize("policy", ["packed", "bitset", "auto"])
+    def test_policy_option_rejected(self, policy, capsys):
+        """The permutation pass has one storage; no --policy flag."""
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["mine", "x.csv", "--min-sup",
+                                       "10", "--policy", policy])
+        assert excinfo.value.code == 2
+        assert "--policy" in capsys.readouterr().err
+
     def test_defaults(self):
         args = build_parser().parse_args(["mine", "x.csv",
                                           "--min-sup", "10"])

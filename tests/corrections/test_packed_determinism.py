@@ -3,9 +3,10 @@
 The PR-4 guarantee on top of the PR-2 one: the *batched* permutation
 pass (packed uint64 kernel, block-sized scoring, 2-D p-value lookup)
 produces byte-identical ``Perm_FWER`` / ``Perm_FWER_SD`` / ``Perm_FDR``
-CSV output at any worker count, on every backend, under every forest
-policy, and for any block budget. The CSVs are written through the real
-CLI so the comparison covers the full stack, exactly like the
+CSV output at any worker count, on every backend, and for any block
+budget, and its statistics equal every Fig 4 storage and lookup arm of
+:mod:`repro.ablation`. The CSVs are written through the real CLI so the
+comparison covers the full stack, exactly like the
 ``parallel-determinism`` CI job.
 """
 
@@ -16,12 +17,16 @@ import filecmp
 import numpy as np
 import pytest
 
+from repro.ablation import ReferenceScorer
 from repro.cli import main
 from repro.corrections import PermutationEngine
-from repro.data import GeneratorConfig, generate, save_csv
+from repro.data import GeneratorConfig, generate, load_csv, save_csv
 from repro.mining import mine_class_rules
 
 CORRECTIONS = ("Perm_FWER", "Perm_FWER_SD", "Perm_FDR")
+
+#: Which of the engine's three statistics each correction reads.
+_STATISTIC = {"Perm_FWER": 0, "Perm_FDR": 1, "Perm_FWER_SD": 2}
 
 
 @pytest.fixture(scope="module")
@@ -50,25 +55,26 @@ class TestCsvByteIdentity:
     def test_jobs_and_backends_byte_identical(self, dataset_csv,
                                               tmp_path, correction):
         baseline = _mine_csv(dataset_csv, tmp_path / "base.csv",
-                             correction, policy="packed",
-                             jobs=1, backend="serial")
+                             correction, jobs=1, backend="serial")
         for jobs, backend in ((4, "threads"), (4, "processes")):
             other = _mine_csv(
                 dataset_csv, tmp_path / f"{backend}.csv", correction,
-                policy="packed", jobs=jobs, backend=backend)
+                jobs=jobs, backend=backend)
             assert filecmp.cmp(baseline, other, shallow=False), \
                 f"{correction} differs at --jobs {jobs} --backend " \
                 f"{backend}"
 
     @pytest.mark.parametrize("correction", CORRECTIONS)
     def test_packed_matches_bigint_policies(self, dataset_csv,
-                                            tmp_path, correction):
-        packed = _mine_csv(dataset_csv, tmp_path / "packed.csv",
-                           correction, policy="packed")
+                                            correction):
+        # The ruleset the CLI run above mines: closed, min_sup 30.
+        ruleset = mine_class_rules(load_csv(str(dataset_csv)), 30)
+        index = _STATISTIC[correction]
+        packed = PermutationEngine(ruleset, 60, seed=0).statistics()
         for policy in ("bitset", "diffsets", "full"):
-            other = _mine_csv(dataset_csv, tmp_path / f"{policy}.csv",
-                              correction, policy=policy)
-            assert filecmp.cmp(packed, other, shallow=False), \
+            other = ReferenceScorer(ruleset, storage=policy).statistics(
+                60, 0)
+            assert np.array_equal(packed[index], other[index]), \
                 f"{correction} differs between packed and {policy}"
 
 
@@ -89,41 +95,37 @@ class TestEngineStatistics:
 
     def test_block_sizing_never_changes_results(self, ruleset):
         reference = self._statistics(
-            PermutationEngine(ruleset, 40, seed=9, policy="packed"))
+            PermutationEngine(ruleset, 40, seed=9))
         # batch_bytes=1 degenerates to one permutation per block — the
         # maximally split schedule must still be bit-identical.
         for batch_bytes in (1, 10_000, 10**9):
             tiny = self._statistics(PermutationEngine(
-                ruleset, 40, seed=9, policy="packed",
-                batch_bytes=batch_bytes))
+                ruleset, 40, seed=9, batch_bytes=batch_bytes))
             assert (tiny[0] == reference[0]).all()
             assert tiny[1] == reference[1]
             assert tiny[2] == reference[2]
 
     def test_batched_matches_sequential_cache_mode(self, ruleset):
-        """The cache mode still scores permutation-at-a-time through
-        Python buffers; the batched packed path must reproduce its
-        statistics exactly."""
-        batched = self._statistics(
-            PermutationEngine(ruleset, 30, seed=5, policy="packed"))
-        sequential = self._statistics(
-            PermutationEngine(ruleset, 30, seed=5, policy="bitset",
-                              pvalue_mode="cache"))
-        assert (batched[0] == sequential[0]).all()
-        assert batched[1] == sequential[1]
-        assert batched[2] == sequential[2]
+        """The reference cache arm scores permutation-at-a-time
+        through Python buffers; the batched packed path must reproduce
+        its statistics exactly."""
+        batched = PermutationEngine(ruleset, 30, seed=5).statistics()
+        sequential = ReferenceScorer(ruleset, storage="bitset",
+                                     lookup="cache").statistics(30, 5)
+        for got, want in zip(batched, sequential):
+            assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("backend", ("threads", "processes"))
     def test_policy_and_backend_cross_product(self, ruleset, backend):
-        reference = self._statistics(
-            PermutationEngine(ruleset, 30, seed=5, policy="packed"))
-        for policy in ("packed", "bitset"):
-            parallel = self._statistics(PermutationEngine(
-                ruleset, 30, seed=5, policy=policy, n_jobs=3,
-                backend=backend))
-            assert (parallel[0] == reference[0]).all()
-            assert parallel[1] == reference[1]
-            assert parallel[2] == reference[2]
+        reference = PermutationEngine(ruleset, 30, seed=5).statistics()
+        parallel = PermutationEngine(ruleset, 30, seed=5, n_jobs=3,
+                                     backend=backend).statistics()
+        bigint = ReferenceScorer(ruleset, storage="bitset").statistics(
+            30, 5)
+        for other in (parallel, bigint):
+            assert np.array_equal(other[0], reference[0])
+            assert np.array_equal(other[1], reference[1])
+            assert np.array_equal(other[2], reference[2])
 
     def test_multiclass_batched_supports_match_sequential(self):
         config = GeneratorConfig(
@@ -132,12 +134,12 @@ class TestEngineStatistics:
             min_confidence=0.8, max_confidence=0.9)
         ruleset = mine_class_rules(generate(config, seed=77).dataset,
                                    min_sup=15)
-        engine = PermutationEngine(ruleset, 10, seed=2,
-                                   policy="packed")
+        engine = PermutationEngine(ruleset, 10, seed=2)
+        sequential = ReferenceScorer(ruleset, storage="full")
         rng = np.random.default_rng(3)
         labels = np.stack([rng.permutation(engine._labels)
                            for _ in range(5)])
         batched = engine._rule_supports_batch(labels)
         for row in range(labels.shape[0]):
             assert (batched[row]
-                    == engine._rule_supports(labels[row])).all()
+                    == sequential.rule_supports(labels[row])).all()

@@ -72,23 +72,6 @@ class TestBackendEquivalence:
         assert parallel.stepdown_adjusted_p_values() == \
             serial.stepdown_adjusted_p_values()
 
-    @pytest.mark.parametrize("mode", ("cache", "direct"))
-    def test_nondefault_pvalue_modes_stay_identical(self, ruleset, mode):
-        """The cache/direct modes score through shared mutable caches:
-        threads must fall back to serial (silent corruption otherwise)
-        and processes (per-worker copies) must still match serial."""
-        serial = PermutationEngine(ruleset, 15, seed=5,
-                                   pvalue_mode=mode)
-        threads = PermutationEngine(ruleset, 15, seed=5,
-                                    pvalue_mode=mode, n_jobs=4,
-                                    backend="threads")
-        procs = PermutationEngine(ruleset, 15, seed=5,
-                                  pvalue_mode=mode, n_jobs=4,
-                                  backend="processes")
-        reference = serial.min_p_distribution()
-        assert (threads.min_p_distribution() == reference).all()
-        assert (procs.min_p_distribution() == reference).all()
-
     def test_worker_count_does_not_matter(self, ruleset):
         baseline = None
         for n_jobs in (1, 2, 4, 16):

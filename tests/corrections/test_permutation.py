@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.ablation import ReferenceScorer
 from repro.corrections import PermutationEngine, permutation_fdr, \
     permutation_fwer
 from repro.data import GeneratorConfig, generate
@@ -36,9 +37,14 @@ class TestConstruction:
         with pytest.raises(CorrectionError):
             PermutationEngine(random_ruleset, n_permutations=0)
         with pytest.raises(CorrectionError):
-            PermutationEngine(random_ruleset, policy="nope")
+            PermutationEngine(random_ruleset, batch_bytes=0)
         with pytest.raises(CorrectionError):
-            PermutationEngine(random_ruleset, pvalue_mode="nope")
+            PermutationEngine(random_ruleset, word_block=-1)
+        # The storage and lookup arms left the production engine.
+        with pytest.raises(TypeError):
+            PermutationEngine(random_ruleset, policy="packed")
+        with pytest.raises(TypeError):
+            PermutationEngine(random_ruleset, pvalue_mode="vectorized")
 
     def test_seed_rng_conflict(self, random_ruleset):
         import random as pyrandom
@@ -63,27 +69,27 @@ class TestDeterminism:
 
 
 class TestPvalueModesAgree:
-    """vectorized, cache and direct modes must produce identical scores."""
+    """The engine matches every Fig 4 lookup and storage arm."""
 
     def test_modes_identical(self, random_ruleset):
-        results = {}
-        for mode in ("vectorized", "cache", "direct"):
-            engine = PermutationEngine(random_ruleset, 20, seed=5,
-                                       pvalue_mode=mode)
-            results[mode] = engine.min_p_distribution()
+        results = {"vectorized": PermutationEngine(
+            random_ruleset, 20, seed=5).min_p_distribution()}
+        for mode in ("cache", "direct"):
+            scorer = ReferenceScorer(random_ruleset, lookup=mode)
+            results[mode] = scorer.statistics(20, 5)[0]
         assert results["vectorized"] == pytest.approx(
             results["cache"], rel=1e-9)
         assert results["vectorized"] == pytest.approx(
             results["direct"], rel=1e-9)
 
     def test_policies_identical(self, random_ruleset):
-        results = {}
+        results = {"packed": PermutationEngine(
+            random_ruleset, 20, seed=6).min_p_distribution()}
         for policy in ("bitset", "diffsets", "full"):
-            engine = PermutationEngine(random_ruleset, 20, seed=6,
-                                       policy=policy)
-            results[policy] = engine.min_p_distribution()
-        assert results["bitset"] == pytest.approx(results["diffsets"])
-        assert results["bitset"] == pytest.approx(results["full"])
+            scorer = ReferenceScorer(random_ruleset, storage=policy)
+            results[policy] = scorer.statistics(20, 6)[0]
+        for policy in ("bitset", "diffsets", "full"):
+            assert np.array_equal(results[policy], results["packed"])
 
 
 class TestFwer:

@@ -99,7 +99,7 @@ class TestMultiClassCorrections:
                                    n_permutations=10, seed=1)
         labels = np.array(three_class_ruleset.dataset.class_labels,
                           dtype=np.int64)
-        supports = engine._rule_supports(labels)
+        supports = engine._rule_supports_batch(labels[None, :])[0]
         for rule, support in zip(three_class_ruleset.rules, supports):
             assert rule.support == int(support)
 

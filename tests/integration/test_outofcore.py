@@ -6,7 +6,8 @@ The acceptance criteria of the sharded-arena work, pinned through the
 * **CLI memmap identity** — ``repro mine`` on an ``.arena`` input
   (memmap-backed, zero-copy to workers) emits CSVs byte-identical to
   the same mine on the ``.csv`` source, across miners × jobs 1/4 ×
-  native kernels on/off × policies;
+  native kernels on/off, and the Fig 4 bigint arm scores the arena
+  exactly like the packed engine scores the CSV;
 * **sharded scoring identity** — a :class:`ShardedDataset` driven
   through the full :class:`Pipeline` (mining + permutation correction)
   exports the same CSV as the whole in-RAM dataset;
@@ -32,16 +33,20 @@ import numpy as np
 import pytest
 
 import repro._native as _native
+from repro.ablation import ReferenceScorer
 from repro.cli import main
 from repro.core.pipeline import Pipeline
+from repro.corrections import PermutationEngine
 from repro.data import (
     Dataset,
     GeneratorConfig,
     ShardedDataset,
     generate,
+    load_csv,
     save_csv,
 )
 from repro.evaluation.export import rules_to_csv
+from repro.mining import mine_class_rules
 
 MINERS = ("closed", "apriori", "fpgrowth", "representative")
 
@@ -78,11 +83,11 @@ def dataset_arena(tmp_path_factory, data):
 
 
 def _mine(input_path, out, log_path, *, algorithm="closed", jobs=1,
-          backend="serial", policy="auto"):
+          backend="serial"):
     argv = ["mine", str(input_path), "--min-sup", "30",
             "--algorithm", algorithm, "--correction", "Perm_FWER",
             "--permutations", "40", "--seed", "0",
-            "--policy", policy, "--jobs", str(jobs),
+            "--jobs", str(jobs),
             "--backend", backend, "--csv-out", str(out)]
     with open(log_path, "w") as log:
         assert main(argv, out=log) == 0
@@ -111,17 +116,21 @@ class TestCliMemmapIdentity:
 
     @pytest.mark.parametrize("policy", ["packed", "bitset"])
     def test_policies_agree_on_arena_input(self, dataset_csv,
-                                           dataset_arena, tmp_path,
-                                           policy):
-        outputs = {}
-        for tag, source in (("csv", dataset_csv),
-                            ("arena", dataset_arena)):
-            out = tmp_path / f"{policy}_{tag}.csv"
-            _mine(source, out, out.with_suffix(".log"), policy=policy)
-            outputs[tag] = out
-        assert filecmp.cmp(outputs["csv"], outputs["arena"],
-                           shallow=False), \
-            f"policy={policy}: arena input diverged from CSV"
+                                           dataset_arena, policy):
+        """The packed engine and the bigint arm both score the
+        memmap-backed arena exactly as the engine scores the CSV."""
+        reference = PermutationEngine(
+            mine_class_rules(load_csv(str(dataset_csv)), 30), 40,
+            seed=0).statistics()
+        ruleset = mine_class_rules(Dataset.open_arena(dataset_arena), 30)
+        if policy == "packed":
+            got = PermutationEngine(ruleset, 40, seed=0).statistics()
+        else:
+            got = ReferenceScorer(ruleset, storage=policy).statistics(
+                40, 0)
+        for mine, want in zip(got, reference):
+            assert np.array_equal(mine, want), \
+                f"policy={policy}: arena input diverged from CSV"
 
 
 class TestNativeToggleIdentity:

@@ -7,20 +7,22 @@ these tests pin the two guarantees that made that safe:
   arena and the *same* dataset reconstructed from bigint tidsets (the
   interop path plugins use) produce byte-identical mine / holdout /
   permutation CSV output for every registered miner;
-* **policy identity** — for every miner, the packed forest policy and
-  the bigint ``"bitset"`` ablation arm emit byte-identical permutation
-  CSVs through the real CLI.
+* **arm identity** — for every miner, the packed permutation engine
+  and the bigint ``"bitset"`` ablation arm (:mod:`repro.ablation`)
+  compute identical permutation statistics.
 """
 
 from __future__ import annotations
 
 import filecmp
 
+import numpy as np
 import pytest
 
-from repro.cli import main
+from repro.ablation import ReferenceScorer
 from repro.core.pipeline import Pipeline
-from repro.data import Dataset, GeneratorConfig, generate, save_csv
+from repro.corrections import PermutationEngine
+from repro.data import Dataset, GeneratorConfig, generate
 from repro.evaluation.export import rules_to_csv
 
 MINERS = ("closed", "apriori", "fpgrowth", "representative")
@@ -42,13 +44,6 @@ def bigint_clone(data):
         data.n_records, data.catalog,
         [int(t) for t in data.item_tidsets],
         data.class_labels, data.class_names, name=data.name)
-
-
-@pytest.fixture(scope="module")
-def dataset_csv(tmp_path_factory, data):
-    path = tmp_path_factory.mktemp("native") / "dataset.csv"
-    save_csv(data, str(path))
-    return path
 
 
 class TestBigintIngestIdentity:
@@ -73,19 +68,13 @@ class TestBigintIngestIdentity:
 
 class TestMinerPolicyIdentity:
     @pytest.mark.parametrize("algorithm", MINERS)
-    def test_packed_policy_matches_bitset_arm(self, dataset_csv,
-                                              tmp_path, algorithm):
-        outputs = {}
-        for policy in ("packed", "bitset"):
-            out = tmp_path / f"{algorithm}_{policy}.csv"
-            argv = ["mine", str(dataset_csv), "--min-sup", "30",
-                    "--algorithm", algorithm,
-                    "--correction", "Perm_FWER",
-                    "--permutations", "40", "--seed", "0",
-                    "--policy", policy, "--csv-out", str(out)]
-            with open(out.with_suffix(".log"), "w") as log:
-                assert main(argv, out=log) == 0
-            outputs[policy] = out
-        assert filecmp.cmp(outputs["packed"], outputs["bitset"],
-                           shallow=False), \
-            f"{algorithm}: packed policy differs from bigint bitset arm"
+    def test_packed_policy_matches_bitset_arm(self, data, algorithm):
+        pipe = Pipeline(min_sup=30, corrections=("Perm_FWER",),
+                        algorithm=algorithm, n_permutations=40, seed=0)
+        ruleset = pipe.run(data).ruleset
+        packed = PermutationEngine(ruleset, 40, seed=0).statistics()
+        bigint = ReferenceScorer(ruleset, storage="bitset").statistics(
+            40, 0)
+        for got, want in zip(packed, bigint):
+            assert np.array_equal(got, want), \
+                f"{algorithm}: packed engine differs from bigint arm"

@@ -1,7 +1,7 @@
 """The packed uint64 bitmap kernel agrees exactly with bigint popcount.
 
 :class:`repro.bitmat.BitMatrix` is the counting engine behind the
-default ``"packed"`` forest policy; these tests pin its contract — the
+permutation pass; these tests pin its contract — the
 kernels are *bit-identical* to ``popcount(tidset & class_bits)`` for
 any forest and any labelling, including the awkward shapes: record
 counts not divisible by 64, empty forests, empty batches, all-one and
@@ -23,8 +23,10 @@ from repro.bitmat import (
     words_per_row,
 )
 from repro.data import GeneratorConfig, generate
+from repro.ablation import ReferenceForest
+from repro.corrections import PermutationEngine
 from repro.errors import MiningError
-from repro.mining import PatternForest, mine_closed
+from repro.mining import mine_class_rules, mine_closed
 
 
 @st.composite
@@ -167,11 +169,15 @@ class TestNativeKernel:
 
         monkeypatch.setenv("REPRO_NATIVE", "0")
         monkeypatch.setattr(_native, "_kernel", "unset")
-        assert _native.load_kernel() is None
+        assert _native.load_suite() is None
         assert "disabled" in _native.native_status()
         matrix = BitMatrix.from_tidsets([0b1011], 4)
         assert matrix.class_supports(
             np.array([1, 0, 1, 1], dtype=bool)).tolist() == [2]
+
+
+def _packed(patterns, n_records):
+    return BitMatrix.from_tidsets([p.tidset for p in patterns], n_records)
 
 
 class TestForestPackedPolicy:
@@ -186,32 +192,34 @@ class TestForestPackedPolicy:
         return ds, patterns, labels
 
     def test_packed_is_default_policy(self, forest_inputs):
-        ds, patterns, _ = forest_inputs
-        forest = PatternForest(patterns, ds.n_records)
-        assert forest.policy == "packed"
-        assert forest.matrix is not None
+        """The permutation engine's one storage is the packed matrix."""
+        ds, _, _ = forest_inputs
+        ruleset = mine_class_rules(ds, 10)
+        engine = PermutationEngine(ruleset, 1, seed=0)
+        assert isinstance(engine._matrix, BitMatrix)
+        assert engine._matrix.n_rows == len(ruleset.patterns)
 
     def test_packed_agrees_with_every_policy(self, forest_inputs):
         ds, patterns, labels = forest_inputs
-        packed = PatternForest(patterns, ds.n_records, "packed")
+        packed = _packed(patterns, ds.n_records)
         reference = packed.class_supports(labels)
         for policy in ("full", "diffsets", "bitset"):
-            other = PatternForest(patterns, ds.n_records, policy)
+            other = ReferenceForest(patterns, ds.n_records, policy)
             assert (other.class_supports(labels) == reference).all()
 
     def test_batch_query_agrees_across_policies(self, forest_inputs):
         ds, patterns, labels = forest_inputs
         rng = np.random.default_rng(4)
         batch = np.stack([rng.permutation(labels) for _ in range(6)])
-        packed = PatternForest(patterns, ds.n_records,
-                               "packed").class_supports_batch(batch)
+        packed = _packed(patterns,
+                         ds.n_records).class_supports_batch(batch)
         for policy in ("full", "diffsets", "bitset"):
-            forest = PatternForest(patterns, ds.n_records, policy)
+            forest = ReferenceForest(patterns, ds.n_records, policy)
             assert (forest.class_supports_batch(batch) == packed).all()
 
     def test_packed_tidset_reconstruction(self, forest_inputs):
         ds, patterns, _ = forest_inputs
-        forest = PatternForest(patterns, ds.n_records, "packed")
+        forest = _packed(patterns, ds.n_records)
         for pattern in patterns[:20]:
             assert forest.tidset(pattern.node_id) == pattern.tidset
 
@@ -231,17 +239,22 @@ class TestForestPackedPolicy:
             Pattern(3, 2, frozenset({0, 1, 2, 3}), 0b10, 1, 3),
         ]
         indicator = np.array([False, True])
-        for policy in ("diffsets", "full", "packed", "bitset"):
-            forest = PatternForest(patterns, 2, policy)
+        forests = {policy: ReferenceForest(patterns, 2, policy)
+                   for policy in ("diffsets", "full", "bitset")}
+        forests["packed"] = _packed(patterns, 2)
+        for policy, forest in forests.items():
             assert forest.class_supports(indicator).tolist() == \
                 [1, 1, 1, 1], policy
 
     def test_batch_shape_validated(self, forest_inputs):
         ds, patterns, _ = forest_inputs
-        forest = PatternForest(patterns, ds.n_records, "packed")
-        with pytest.raises(MiningError):
-            forest.class_supports_batch(
-                np.ones(ds.n_records, dtype=bool))
-        with pytest.raises(MiningError):
-            forest.class_supports_batch(
-                np.ones((2, ds.n_records + 1), dtype=bool))
+        for forest, error in (
+                (_packed(patterns, ds.n_records), ValueError),
+                (ReferenceForest(patterns, ds.n_records, "full"),
+                 MiningError)):
+            with pytest.raises(error):
+                forest.class_supports_batch(
+                    np.ones(ds.n_records, dtype=bool))
+            with pytest.raises(error):
+                forest.class_supports_batch(
+                    np.ones((2, ds.n_records + 1), dtype=bool))

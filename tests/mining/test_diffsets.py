@@ -1,4 +1,4 @@
-"""Unit tests for the Diffsets pattern forest (paper Section 4.2.2)."""
+"""Unit tests for the Fig 4 reference forest (paper Section 4.2.2)."""
 
 from __future__ import annotations
 
@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 from repro.data import GeneratorConfig, generate
+from repro.ablation import ReferenceForest
 from repro.errors import MiningError
-from repro.mining import PatternForest, mine_closed
+from repro.mining import mine_closed
 
 
 @pytest.fixture(scope="module")
@@ -27,14 +28,14 @@ class TestPolicies:
         ds, patterns, labels = forest_inputs
         results = {}
         for policy in ("full", "diffsets", "bitset"):
-            forest = PatternForest(patterns, ds.n_records, policy)
+            forest = ReferenceForest(patterns, ds.n_records, policy)
             results[policy] = forest.class_supports(labels)
         assert (results["full"] == results["diffsets"]).all()
         assert (results["full"] == results["bitset"]).all()
 
     def test_matches_direct_counting(self, forest_inputs):
         ds, patterns, labels = forest_inputs
-        forest = PatternForest(patterns, ds.n_records, "diffsets")
+        forest = ReferenceForest(patterns, ds.n_records, "diffsets")
         supports = forest.class_supports(labels)
         from repro import bitset as bs
         class_bits = bs.from_numpy_bool(labels)
@@ -44,16 +45,16 @@ class TestPolicies:
     def test_unknown_policy(self, forest_inputs):
         ds, patterns, _ = forest_inputs
         with pytest.raises(MiningError):
-            PatternForest(patterns, ds.n_records, "compressed")
+            ReferenceForest(patterns, ds.n_records, "compressed")
 
     def test_supports_vector(self, forest_inputs):
         ds, patterns, _ = forest_inputs
-        forest = PatternForest(patterns, ds.n_records, "bitset")
+        forest = ReferenceForest(patterns, ds.n_records, "bitset")
         assert forest.supports.tolist() == [p.support for p in patterns]
 
     def test_wrong_indicator_shape(self, forest_inputs):
         ds, patterns, _ = forest_inputs
-        forest = PatternForest(patterns, ds.n_records, "full")
+        forest = ReferenceForest(patterns, ds.n_records, "full")
         with pytest.raises(MiningError):
             forest.class_supports(np.ones(3, dtype=bool))
 
@@ -63,14 +64,14 @@ class TestPolicies:
             pytest.skip("need at least two patterns")
         reordered = list(reversed(patterns))
         with pytest.raises(MiningError):
-            PatternForest(reordered, ds.n_records, "full")
+            ReferenceForest(reordered, ds.n_records, "full")
 
 
 class TestDiffsetRule:
     def test_policy_follows_paper_threshold(self, forest_inputs):
         """Diff storage iff supp(child) > supp(parent) / 2."""
         ds, patterns, _ = forest_inputs
-        forest = PatternForest(patterns, ds.n_records, "diffsets")
+        forest = ReferenceForest(patterns, ds.n_records, "diffsets")
         for p in patterns:
             if p.parent_id < 0:
                 assert not forest._is_diff[p.node_id]
@@ -81,7 +82,7 @@ class TestDiffsetRule:
 
     def test_compression_never_worse_on_diff_nodes(self, forest_inputs):
         ds, patterns, _ = forest_inputs
-        forest = PatternForest(patterns, ds.n_records, "diffsets")
+        forest = ReferenceForest(patterns, ds.n_records, "diffsets")
         # Each diff node stores parent_support - support ids, which the
         # paper's rule guarantees is < support (the full-list cost).
         for p in patterns:
@@ -91,8 +92,8 @@ class TestDiffsetRule:
 
     def test_stats_accounting(self, forest_inputs):
         ds, patterns, _ = forest_inputs
-        full = PatternForest(patterns, ds.n_records, "full")
-        diff = PatternForest(patterns, ds.n_records, "diffsets")
+        full = ReferenceForest(patterns, ds.n_records, "full")
+        diff = ReferenceForest(patterns, ds.n_records, "diffsets")
         assert full.stats.stored_ids == full.stats.full_policy_ids
         assert diff.stats.stored_ids <= full.stats.stored_ids
         assert diff.stats.full_nodes + diff.stats.diff_nodes == \
@@ -102,7 +103,7 @@ class TestDiffsetRule:
     def test_tidset_reconstruction(self, forest_inputs):
         ds, patterns, _ = forest_inputs
         for policy in ("full", "diffsets", "bitset"):
-            forest = PatternForest(patterns, ds.n_records, policy)
+            forest = ReferenceForest(patterns, ds.n_records, policy)
             for p in patterns[:20]:
                 assert forest.tidset(p.node_id) == p.tidset
 
@@ -110,7 +111,7 @@ class TestDiffsetRule:
 class TestPermutationUsage:
     def test_shuffled_labels_keep_totals(self, forest_inputs):
         ds, patterns, labels = forest_inputs
-        forest = PatternForest(patterns, ds.n_records, "diffsets")
+        forest = ReferenceForest(patterns, ds.n_records, "diffsets")
         rng = np.random.default_rng(4)
         shuffled = labels.copy()
         rng.shuffle(shuffled)
@@ -122,7 +123,7 @@ class TestPermutationUsage:
 
     def test_many_permutations_agree_across_policies(self, forest_inputs):
         ds, patterns, labels = forest_inputs
-        forests = {policy: PatternForest(patterns, ds.n_records, policy)
+        forests = {policy: ReferenceForest(patterns, ds.n_records, policy)
                    for policy in ("full", "diffsets", "bitset")}
         rng = np.random.default_rng(5)
         for _ in range(5):

@@ -6,8 +6,8 @@ andnot diffset recurrence — each reached through a :mod:`repro.bitmat`
 wrapper that silently falls back to numpy. These tests pin the
 three-way equivalence on ragged shapes (widths under one word, exact
 word boundaries, straddling tails), the edge cases of kernel
-selection (empty forests, single-record datasets), and the ``auto``
-policy's crossover decisions.
+selection (empty forests, single-record datasets), and the packed
+forest's agreement with every Fig 4 storage arm.
 """
 
 from __future__ import annotations
@@ -25,17 +25,8 @@ from repro.bitmat import (
     intersection_counts,
     superset_mask,
 )
-from repro.errors import CorrectionError, MiningError
-from repro.mining import (
-    POLICY_CHOICES,
-    PatternForest,
-    mine_closed,
-    resolve_auto_policy,
-)
-from repro.mining.diffsets import (
-    AUTO_DENSITY_CROSSOVER,
-    AUTO_MIN_RECORDS,
-)
+from repro.ablation import STORAGES, ReferenceForest
+from repro.mining import mine_closed
 from repro.mining.tidsets import build_vertical_view
 from repro.tidvector import TidVector, arena_rows, pack_bool_matrix
 
@@ -202,40 +193,7 @@ class TestVerticalViewKernels:
 
 
 class TestAutoPolicy:
-    def test_crossover_decisions(self):
-        # Small record sets always pack, whatever the density.
-        assert resolve_auto_policy(1000, AUTO_MIN_RECORDS - 1,
-                                   10) == "packed"
-        assert resolve_auto_policy(0, 100_000, 0) == "packed"
-        n_nodes, n_records = 100, 100_000
-        dense = int(n_nodes * n_records * AUTO_DENSITY_CROSSOVER * 2)
-        sparse = int(n_nodes * n_records * AUTO_DENSITY_CROSSOVER / 2)
-        assert resolve_auto_policy(n_nodes, n_records,
-                                   dense) == "packed"
-        assert resolve_auto_policy(n_nodes, n_records,
-                                   sparse) == "diffsets"
-
-    def test_auto_is_a_choice_everywhere(self):
-        assert "auto" in POLICY_CHOICES
-        from repro.core.pipeline import Pipeline
-        Pipeline(min_sup=5, corrections=("bh",), policy="auto")
-        with pytest.raises(CorrectionError):
-            Pipeline(min_sup=5, corrections=("bh",), policy="nope")
-
-    def test_forest_resolves_auto(self):
-        rng = np.random.default_rng(3)
-        from repro.mining.patterns import Pattern
-        flags = rng.random((6, 100)) < 0.5
-        tidsets = arena_rows(pack_bool_matrix(flags), 100)
-        patterns = [Pattern(i, -1, frozenset({i}), t, t.count(), 0)
-                    for i, t in enumerate(tidsets)]
-        forest = PatternForest(patterns, 100, "auto")
-        assert forest.requested_policy == "auto"
-        assert forest.policy in ("packed", "diffsets")
-        # 100 records < AUTO_MIN_RECORDS: the dense side of the rule.
-        assert forest.policy == "packed"
-        with pytest.raises(MiningError):
-            PatternForest(patterns, 100, "fastest")
+    """The packed forest agrees with every Fig 4 storage arm."""
 
     def test_auto_supports_match_explicit_policies(self):
         rng = np.random.default_rng(21)
@@ -243,10 +201,9 @@ class TestAutoPolicy:
         tidsets = arena_rows(pack_bool_matrix(flags), 140)
         patterns = mine_closed(tidsets, 140, min_sup=5)
         indicator = rng.random(140) < 0.5
-        reference = None
-        for policy in POLICY_CHOICES:
-            forest = PatternForest(patterns, 140, policy)
+        reference = BitMatrix.from_tidsets(
+            [p.tidset for p in patterns], 140).class_supports(indicator)
+        for policy in STORAGES:
+            forest = ReferenceForest(patterns, 140, policy)
             got = forest.class_supports(indicator)
-            if reference is None:
-                reference = got
             assert np.array_equal(got, reference), policy

@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 
 from repro import bitset as bs
+from repro.ablation import ReferenceForest
+from repro.bitmat import BitMatrix
 from repro.data import make_german
 from repro.errors import MiningError
 from repro.mining import (
     Miner,
     Pattern,
-    PatternForest,
     PatternSet,
     available_miners,
     generate_rules,
@@ -285,13 +286,17 @@ class TestPatternSetContract:
         pattern_set = mine_patterns(german, 60, algorithm="fpgrowth")
         indicator = np.array(
             [label == 0 for label in german.class_labels], dtype=bool)
-        reference = PatternForest(pattern_set, german.n_records,
-                                  "bitset").class_supports(indicator)
+        reference = ReferenceForest(pattern_set, german.n_records,
+                                    "bitset").class_supports(indicator)
         for policy in ("full", "diffsets"):
-            forest = PatternForest(pattern_set, german.n_records,
-                                   policy)
+            forest = ReferenceForest(pattern_set, german.n_records,
+                                     policy)
             assert np.array_equal(forest.class_supports(indicator),
                                   reference)
+        packed = BitMatrix.from_tidsets(
+            [p.tidset for p in pattern_set], german.n_records)
+        assert np.array_equal(packed.class_supports(indicator),
+                              reference)
 
     def test_from_tree_preserves_provenance(self, german):
         raw = mine_closed(german.item_tidsets, german.n_records, 60)

@@ -16,7 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import bitset as bs
-from repro.mining import PatternForest, mine_patterns, miner_names
+from repro.ablation import ReferenceForest
+from repro.mining import mine_patterns, miner_names
 
 
 class _View:
@@ -115,8 +116,8 @@ def test_frequent_prefix_trees_drive_all_forest_policies(view, min_sup,
         return
     indicator = np.array(label_flags[:view.n_records], dtype=bool)
     outputs = [
-        PatternForest(pattern_set, view.n_records,
-                      policy).class_supports(indicator)
+        ReferenceForest(pattern_set, view.n_records,
+                        policy).class_supports(indicator)
         for policy in ("bitset", "full", "diffsets")
     ]
     assert np.array_equal(outputs[0], outputs[1])

@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import bitset as bs
-from repro.mining import PatternForest, mine_apriori, mine_closed
+from repro.ablation import ReferenceForest
+from repro.mining import mine_apriori, mine_closed
 
 
 @st.composite
@@ -78,7 +79,8 @@ def test_forest_policies_agree(instance, label_flags):
         return
     labels = np.array(label_flags[:n_records], dtype=bool)
     outputs = [
-        PatternForest(patterns, n_records, policy).class_supports(labels)
+        ReferenceForest(patterns, n_records,
+                        policy).class_supports(labels)
         for policy in ("full", "diffsets", "bitset")
     ]
     assert (outputs[0] == outputs[1]).all()

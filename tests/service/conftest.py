@@ -1,9 +1,7 @@
 """Fixtures for the service suite.
 
-The HTTP-level tests run against the builtin ASGI application (forced
-via ``REPRO_SERVICE_FRAMEWORK=builtin`` so results do not depend on
-whether FastAPI happens to be installed) and drive it through
-``httpx.ASGITransport`` when httpx is available — the CI service job
+The HTTP-level tests run against the builtin ASGI application and
+drive it through ``httpx.ASGITransport`` when httpx is available — the CI service job
 installs it — falling back to the in-repo ASGI client on bare
 containers. Both speak the same ASGI protocol to the same app.
 """
@@ -59,17 +57,7 @@ def core():
 
 @pytest.fixture
 def app(core):
-    """The app under test: builtin by default; set
-    ``REPRO_SERVICE_TEST_APP=fastapi`` to run the whole HTTP suite
-    against the FastAPI adapter instead (the CI service job does both
-    — the adapter delegates to the same dispatch table, and this
-    proves it)."""
-    import os
-
-    if os.environ.get("REPRO_SERVICE_TEST_APP") == "fastapi":
-        from repro.service.app import _fastapi_app
-
-        return _fastapi_app(core)
+    """The app under test: the builtin ASGI application."""
     return builtin_asgi_app(core)
 
 

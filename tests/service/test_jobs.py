@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import threading
 
 import pytest
@@ -149,6 +150,35 @@ class TestCaching:
         manager.process_pending()
         assert other.cached is False
         assert manager.stats()["executed"] == 2
+
+    def test_policy_param_rejected(self, manager):
+        with pytest.raises(ServiceError, match="policy"):
+            _submit_mine(manager, policy="bitset")
+
+    def test_store_written_with_policy_slot_still_hits(self, manager):
+        """Stores keyed while the policy slot still varied stay valid:
+        a default mine job wrote policy ``"packed"`` and params
+        without it."""
+        fingerprint = manager.registry.get("small").fingerprint
+        legacy_params = {
+            "alpha": 0.05, "min_conf": 0.0, "max_length": None,
+            "scorer": "fisher", "seed": 0, "n_permutations": 1000,
+            "holdout_split": "random", "redundancy_delta": None,
+            "min_sup": 10}
+        manager.store.put(fingerprint, "closed", "bh", "packed",
+                          legacy_params, {"marker": "legacy"})
+        job = _submit_mine(manager)
+        manager.process_pending()
+        assert job.cached is True
+        assert manager.result(job.job_id) == {"marker": "legacy"}
+
+    def test_replayed_policy_param_leaves_key_unchanged(self, manager):
+        """A job journaled with a policy param replays unvalidated;
+        the stale entry must not reach the key."""
+        job = _submit_mine(manager)
+        stale = dataclasses.replace(
+            job, params=dict(job.params, policy="bitset"))
+        assert manager._cache_slots(stale) == manager._cache_slots(job)
 
     def test_payload_matches_fresh_pipeline_run(self, manager):
         job = _submit_mine(manager)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 import threading
 
 import pytest
@@ -138,6 +139,52 @@ class TestQueryRules:
     def test_top_k_validated(self, store):
         with pytest.raises(ServiceError, match="top_k"):
             store.query_rules(top_k=0)
+
+    def test_item_query_is_not_correlated(self, store):
+        """The item filter runs one list subquery over the item index.
+
+        A correlated ``EXISTS`` re-searched ``rule_items`` once per
+        rule row (quadratic in practice: seconds at ~10k rules); the
+        ``IN`` list must return the same rows from an index search.
+        """
+        rng = random.Random(5)
+        items = [f"A{i}=v" for i in range(60)]
+        for artifact in range(4):
+            rows = [_rule(f"rule {artifact}-{i} => pos", "pos",
+                          support=rng.randint(1, 30), p=rng.random(),
+                          q=rng.random(), lift=rng.random(),
+                          items=rng.sample(items, 3))
+                    for i in range(500)]
+            store.put("fp", "closed", "bh", "packed", {"a": artifact},
+                      {"v": artifact}, rows)
+        conn = store._conn
+        executed = []
+
+        class Recorder:
+            def execute(self, sql, arguments=()):
+                executed.append((sql, list(arguments)))
+                return conn.execute(sql, arguments)
+
+        store._conn = Recorder()
+        try:
+            got = store.query_rules(item="A7=v", top_k=40)
+        finally:
+            store._conn = conn
+        sql, arguments = executed[-1]
+        listed = ("(r.artifact_key, r.rule_index) IN (SELECT "
+                  "i.artifact_key, i.rule_index FROM rule_items i "
+                  "WHERE i.item = ?)")
+        correlated = ("EXISTS (SELECT 1 FROM rule_items i WHERE "
+                      "i.artifact_key = r.artifact_key AND "
+                      "i.rule_index = r.rule_index AND i.item = ?)")
+        assert listed in sql
+        old = conn.execute(sql.replace(listed, correlated), arguments)
+        assert got == [dict(row) for row in old.fetchall()]
+        assert len(got) == 40
+        plan = " ".join(row[3] for row in conn.execute(
+            "EXPLAIN QUERY PLAN " + sql, arguments))
+        assert "CORRELATED" not in plan
+        assert "SCAN r" not in plan
 
     def test_rows_carry_provenance(self, store):
         self._populate(store)

@@ -30,14 +30,30 @@ compiler) a small suite of fused loops and loads them through
 
   behind :func:`repro.bitmat.andnot_counts`, which sizes the
   word-wise ``parent \\ child`` difference blocks of the Fig 4
-  Diffsets arm (:class:`repro.ablation.ReferenceForest`).
+  Diffsets arm (:class:`repro.ablation.ReferenceForest`);
+
+* ``repro_pvalue_buffer`` — the p-value buffers of Section 4.2.3
+  (Figure 2) for a whole batch of coverages of one ``(n, n_c)`` null,
+  written back to back into one flat float64 array, behind
+  :func:`repro.stats.pvalue_buffer.build_buffers`. Unlike the word
+  kernels it computes floats, so it repeats the Python construction
+  (:func:`repro.stats.hypergeom.pmf_table` and
+  :func:`repro.stats.pvalue_buffer._two_ends_sum_up`) op for op: the
+  same libm ``exp``, the same left-to-right sums, the same tie
+  grouping and clamps. Every flag set therefore carries
+  ``-ffp-contract=off`` (no fused multiply-add), and none may ever
+  carry ``-ffast-math``.
 
 Each call releases the GIL, so the kernels also scale on the
-``threads`` backend. Everything here is best-effort: no compiler
+``threads`` backend — and callers batch their work into few calls,
+since a thread that drops and retakes the GIL per small call convoys
+behind the others. Everything here is best-effort: no compiler
 (``CC=/bin/false`` is the CI leg for that), a sandboxed filesystem, a
 failed compile, or ``REPRO_NATIVE=0`` all degrade silently to the
-numpy paths. Results are bit-identical either way — every kernel
-counts exact integers or compares exact words.
+numpy/Python paths. Results are bit-identical either way — the word
+kernels count exact integers or compare exact words, and the p-value
+kernel performs the same IEEE operations in the same order as its
+Python twin.
 
 The shared object is cached under ``$REPRO_NATIVE_CACHE`` (default: a
 per-user directory beneath the system temp dir), keyed by a hash of
@@ -63,6 +79,7 @@ from .testing import faults
 __all__ = ["KernelSuite", "load_suite", "native_status"]
 
 _SOURCE = r"""
+#include <math.h>
 #include <stdint.h>
 
 /* Fused word kernels over packed little-endian uint64 record sets.
@@ -138,14 +155,121 @@ void repro_andnot_counts(
         out[j] = acc;
     }
 }
+
+/* ln C(a, b) from the log-factorial table, in the op order of
+   LogFactorialBuffer.log_binomial: (t[a] - t[b]) - t[a - b]. */
+static double log_binomial(const double *t, int64_t a, int64_t b)
+{
+    return t[a] - t[b] - t[a - b];
+}
+
+/* pmf[k - low] = H(k; n, n_c, s) for k in [low, high], exactly as
+   hypergeom.pmf_table: one exp seed, then the integer-ratio
+   recurrence; a seed that underflows to 0.0 sends every entry
+   through its own log-space evaluation instead. */
+static void pmf_table(int64_t n, int64_t n_c, int64_t s, int64_t low,
+                      int64_t high, const double *t, double *pmf)
+{
+    double first = exp(log_binomial(t, n_c, low)
+                       + log_binomial(t, n - n_c, s - low)
+                       - log_binomial(t, n, s));
+    if (first == 0.0) {
+        for (int64_t k = low; k <= high; ++k)
+            pmf[k - low] = exp(log_binomial(t, n_c, k)
+                               + log_binomial(t, n - n_c, s - k)
+                               - log_binomial(t, n, s));
+        return;
+    }
+    double value = first;
+    pmf[0] = first;
+    for (int64_t k = low; k < high; ++k) {
+        int64_t numerator = (n_c - k) * (s - k);
+        int64_t denominator = (k + 1) * (n - n_c - s + k + 1);
+        value = value * (double)numerator / (double)denominator;
+        pmf[k - low + 1] = value;
+    }
+}
+
+/* Figure 2's two-ends-inward walk over pmf[0..m), as
+   pvalue_buffer._two_ends_sum_up: the right end is taken only when
+   strictly smaller (Python's min), each tie group sums its left
+   members ascending, then its right members descending, and every
+   member receives the running total. Returns -1 on a NaN table. */
+static int two_ends_sum_up(const double *pmf, int64_t m, double tol,
+                           double *out)
+{
+    int64_t left = 0, right = m - 1;
+    double total = 0.0;
+    while (left <= right) {
+        double smallest = pmf[right] < pmf[left] ? pmf[right] : pmf[left];
+        double ceiling = smallest * tol;
+        int64_t first_left = left, first_right = right;
+        while (left <= right && pmf[left] <= ceiling)
+            ++left;
+        while (left <= right && pmf[right] <= ceiling)
+            --right;
+        if (left == first_left && right == first_right)
+            return -1;
+        double group = 0.0;
+        for (int64_t i = first_left; i < left; ++i)
+            group += pmf[i];
+        for (int64_t i = first_right; i > right; --i)
+            group += pmf[i];
+        total += group;
+        for (int64_t i = first_left; i < left; ++i)
+            out[i] = total;
+        for (int64_t i = first_right; i > right; --i)
+            out[i] = total;
+    }
+    return 0;
+}
+
+/* The p-value buffers of coverages[0..n_coverages) for one (n, n_c)
+   null, back to back in out (buffer i spans high_i - low_i + 1
+   doubles). pmf is scratch for the longest buffer. Returns 0, or
+   i + 1 when coverage i's pmf table holds NaN. */
+int64_t repro_pvalue_buffer(
+    int64_t n,
+    int64_t n_c,
+    const int64_t *coverages,
+    int64_t n_coverages,
+    const double *log_factorials,  /* ln(k!) for k = 0..n */
+    int64_t midp,
+    double tol,
+    double *out,
+    double *pmf)
+{
+    for (int64_t i = 0; i < n_coverages; ++i) {
+        int64_t s = coverages[i];
+        int64_t low = n_c + s - n > 0 ? n_c + s - n : 0;
+        int64_t high = n_c < s ? n_c : s;
+        int64_t m = high - low + 1;
+        pmf_table(n, n_c, s, low, high, log_factorials, pmf);
+        if (two_ends_sum_up(pmf, m, tol, out) != 0)
+            return i + 1;
+        for (int64_t k = 0; k < m; ++k)
+            out[k] = out[k] < 1.0 ? out[k] : 1.0;
+        if (midp) {
+            for (int64_t k = 0; k < m; ++k) {
+                double mid = out[k] - 0.5 * pmf[k];
+                out[k] = mid > 0.0 ? mid : 0.0;
+            }
+        }
+        out += m;
+    }
+    return 0;
+}
 """
 
 #: Flag sets tried in order; the first successful compile wins. The
 #: -march=native build unlocks vectorised popcount (AVX-512 VPOPCNTQ
-#: where available); the plain build is the portable fallback.
+#: where available); the plain build is the portable fallback. Every
+#: set keeps IEEE semantics for the p-value kernel: -ffp-contract=off
+#: stops -march=native from fusing ``p - 0.5 * pmf`` into an FMA, and
+#: no set may enable -ffast-math or -Ofast.
 _FLAG_SETS = (
-    ("-O3", "-march=native", "-funroll-loops"),
-    ("-O3",),
+    ("-O3", "-march=native", "-funroll-loops", "-ffp-contract=off"),
+    ("-O3", "-ffp-contract=off"),
 )
 
 _CACHE_ENV = "REPRO_NATIVE_CACHE"
@@ -155,19 +279,24 @@ _CC_ENV = "CC"
 _UINT64_P = ctypes.POINTER(ctypes.c_uint64)
 _INT64_P = ctypes.POINTER(ctypes.c_int64)
 _UINT8_P = ctypes.POINTER(ctypes.c_uint8)
+_DOUBLE_P = ctypes.POINTER(ctypes.c_double)
 
-#: (symbol, argtypes) for every kernel the suite must export; a
-#: library missing any of them is rejected as a whole.
+#: (symbol, restype, argtypes) for every kernel the suite must export;
+#: a library missing any of them is rejected as a whole.
 _KERNEL_SIGNATURES = (
-    ("repro_class_supports_batch",
+    ("repro_class_supports_batch", None,
      [_UINT64_P, _UINT64_P, _INT64_P,
       ctypes.c_int64, ctypes.c_int64, ctypes.c_int64]),
-    ("repro_subset_mask",
+    ("repro_subset_mask", None,
      [_UINT64_P, _UINT64_P, _UINT8_P,
       ctypes.c_int64, ctypes.c_int64]),
-    ("repro_andnot_counts",
+    ("repro_andnot_counts", None,
      [_UINT64_P, _UINT64_P, _INT64_P,
       ctypes.c_int64, ctypes.c_int64]),
+    ("repro_pvalue_buffer", ctypes.c_int64,
+     [ctypes.c_int64, ctypes.c_int64, _INT64_P, ctypes.c_int64,
+      _DOUBLE_P, ctypes.c_int64, ctypes.c_double, _DOUBLE_P,
+      _DOUBLE_P]),
 )
 
 
@@ -175,19 +304,20 @@ class KernelSuite:
     """The loaded native kernels, one attribute per C entry point.
 
     Attributes are ctypes functions with argtypes/restype set:
-    ``class_supports_batch``, ``subset_mask``, ``andnot_counts``. The
+    ``class_supports_batch``, ``subset_mask``, ``andnot_counts``,
+    ``pvalue_buffer``. The
     whole suite loads from one shared object — either every kernel is
     native or none is, so callers never mix generations.
     """
 
     __slots__ = ("class_supports_batch", "subset_mask", "andnot_counts",
-                 "_handle")
+                 "pvalue_buffer", "_handle")
 
     def __init__(self, handle: ctypes.CDLL) -> None:
         self._handle = handle
-        for symbol, argtypes in _KERNEL_SIGNATURES:
+        for symbol, restype, argtypes in _KERNEL_SIGNATURES:
             fn = getattr(handle, symbol)  # AttributeError -> rejected
-            fn.restype = None
+            fn.restype = restype
             fn.argtypes = argtypes
             setattr(self, symbol[len("repro_"):], fn)
 
@@ -316,7 +446,7 @@ def _compile(flags) -> Optional[str]:
             handle.write(_SOURCE)
         subprocess.run(
             [_compiler_command(), "-shared", "-fPIC", *flags,
-             source_path, "-o", scratch],
+             source_path, "-o", scratch, "-lm"],
             check=True, capture_output=True, timeout=120)
         os.replace(scratch, library)
         return library

@@ -30,7 +30,7 @@ from ..data.dataset import Dataset
 from ..errors import CorrectionError
 from ..mining.registry import resolve_miner
 from ..mining.rules import ClassRule, RuleSet, generate_rules
-from ..stats.buffer_cache import BufferCache
+from ..stats.buffer_cache import BufferCache, batch_p_values
 from .base import (
     FDR,
     FWER,
@@ -110,7 +110,9 @@ class HoldoutRun:
         :class:`~repro.bitmat.BitMatrix`, so coverages are one
         hardware-popcount pass and per-class supports one packed
         kernel call per class actually appearing on a candidate RHS —
-        no per-candidate bigint walks.
+        no per-candidate bigint walks. P-values are then scored in
+        ``(class, coverage)`` groups (:func:`~repro.stats.buffer_cache.
+        batch_p_values`), each evaluation coverage's buffer built once.
         """
         candidates = self.candidates
         if not candidates:
@@ -134,39 +136,34 @@ class HoldoutRun:
             for c in sorted(set(int(c) for c in classes)):
                 mask = classes == c
                 supports[mask] = matrix.class_supports(labels == c)[mask]
+        # Unobservable on this half (coverage 0): never significant.
+        p_values = np.ones(len(candidates))
+        seen = np.flatnonzero(coverages > 0)
+        p_values[seen] = batch_p_values(
+            self._evaluation_caches(classes[seen]), classes[seen],
+            coverages[seen], supports[seen])
         evaluated: List[Tuple[ClassRule, ClassRule]] = []
-        for i, rule in enumerate(candidates):
-            coverage = int(coverages[i])
-            support = int(supports[i])
-            confidence = support / coverage if coverage else 0.0
-            if coverage == 0:
-                # Unobservable on this half: never significant.
-                p_value = 1.0
-            else:
-                cache = self._cache_for(rule.class_index)
-                p_value = cache.p_value(support, coverage)
+        for rule, coverage, support, p_value in zip(
+                candidates, coverages.tolist(), supports.tolist(),
+                p_values.tolist()):
             evaluated.append((rule, ClassRule(
                 pattern_id=rule.pattern_id,
                 items=rule.items,
                 class_index=rule.class_index,
                 coverage=coverage,
                 support=support,
-                confidence=confidence,
+                confidence=support / coverage if coverage else 0.0,
                 p_value=p_value,
             )))
         return evaluated
 
-    def _cache_for(self, class_index: int) -> BufferCache:
-        if not hasattr(self, "_caches"):
-            self._caches: Dict[int, BufferCache] = {}
-        cache = self._caches.get(class_index)
-        if cache is None:
-            cache = BufferCache(
-                self.evaluation.n_records,
-                self.evaluation.class_support(class_index),
-                min_sup=1)
-            self._caches[class_index] = cache
-        return cache
+    def _evaluation_caches(self, classes: np.ndarray,
+                           ) -> Dict[int, BufferCache]:
+        """One evaluation-half cache per class on a candidate RHS."""
+        evaluation = self.evaluation
+        return {c: BufferCache(evaluation.n_records,
+                               evaluation.class_support(c), min_sup=1)
+                for c in np.unique(classes).tolist()}
 
     # ------------------------------------------------------------------
     # error control on the evaluation half

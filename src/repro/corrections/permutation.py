@@ -85,6 +85,7 @@ from ..parallel import (
     slice_sequences,
     spawn_sequences,
 )
+from ..stats.buffer_cache import grouped_buffers
 from .base import FDR, FWER, CorrectionResult, bh_step_up, validate_alpha
 
 __all__ = ["PermutationEngine", "permutation_fwer",
@@ -519,22 +520,19 @@ class _VectorizedLookup:
     """
 
     def __init__(self, ruleset: RuleSet) -> None:
+        rules = ruleset.rules
+        classes = np.array([r.class_index for r in rules], dtype=np.int64)
+        coverages = np.array([r.coverage for r in rules], dtype=np.int64)
         segments: List[np.ndarray] = []
-        # (class, coverage) -> (segment start in the flat array, buffer
-        # lower bound), so offset = start - low maps support k directly
-        # to its flat position.
-        placed: Dict[Tuple[int, int], Tuple[int, int]] = {}
-        offsets = np.empty(len(ruleset.rules), dtype=np.int64)
+        offsets = np.empty(len(rules), dtype=np.int64)
         position = 0
-        for i, rule in enumerate(ruleset.rules):
-            key = (int(rule.class_index), int(rule.coverage))
-            if key not in placed:
-                buffer = ruleset.caches[key[0]].buffer_for(key[1])
-                segments.append(np.array(buffer.p_values()))
-                placed[key] = (position, buffer.low)
-                position += len(segments[-1])
-            start, low = placed[key]
-            offsets[i] = start - low
+        for group, buffer in grouped_buffers(ruleset.caches, classes,
+                                             coverages):
+            segments.append(buffer.values)
+            # offset = segment start - lower bound, so support k maps
+            # directly to its flat position.
+            offsets[group] = position - buffer.low
+            position += len(buffer)
         self._flat = np.concatenate(segments) if segments else np.empty(0)
         self._offsets = offsets
 

@@ -12,19 +12,23 @@ and ``c`` a class label. Following Section 3:
 * with ``m > 2`` classes, **m rules per pattern** are generated.
 
 Every rule carries coverage, support, confidence and its two-tailed
-Fisher p-value, computed through the shared
-:class:`~repro.stats.buffer_cache.BufferCache` so repeated coverages
-cost one table lookup.
+Fisher p-value. Scoring is one batch: all class supports come from the
+packed :class:`~repro.bitmat.BitMatrix` kernel, and p-values from the
+shared :class:`~repro.stats.buffer_cache.BufferCache` grouped by
+``(class, coverage)``, so every coverage's buffer is built once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
+import numpy as np
+
+from ..bitmat import BitMatrix, words_per_row
 from ..data.dataset import Dataset
 from ..errors import MiningError
-from ..stats.buffer_cache import BufferCache
+from ..stats.buffer_cache import BufferCache, batch_p_values
 from ..stats.chi2 import chi2_rule_p_value
 from ..tidvector import as_tidvector
 from .closed import mine_closed
@@ -192,42 +196,41 @@ def generate_rules(
                 min_sup=min_sup, use_static=use_static,
                 use_dynamic=use_dynamic,
                 midp=(scorer == "fisher-midp"))
-    score = _make_scorer(scorer, caches, n, class_supports)
-    rules: List[ClassRule] = []
+    rule_patterns = [p for p in patterns if p.items]  # roots bear no rule
+    supports = _class_supports(dataset, rule_patterns).tolist()
     binary = dataset.n_classes == 2
-    for pattern in patterns:
-        if not pattern.items:
-            continue  # the root (empty LHS) is not a rule
+    # (pattern row, class, support, confidence) of every rule, in
+    # output order.
+    picked: List[tuple] = []
+    for row, pattern in enumerate(rule_patterns):
         coverage = pattern.support
-        tids = as_tidvector(pattern.tidset, n)
         if binary:
-            supp_c0 = tids.intersection_count(dataset.class_tidset(0))
-            supports = (supp_c0, coverage - supp_c0)
             if rhs_class is not None:
-                target = rhs_class
+                candidates = [rhs_class]
             else:
-                target = _positively_associated_class(
-                    supports, coverage, class_supports, n)
-            candidates = [target]
+                candidates = [_positively_associated_class(
+                    supports[row], coverage, class_supports, n)]
         else:
-            supports = tuple(
-                tids.intersection_count(dataset.class_tidset(c))
-                for c in range(dataset.n_classes))
-            candidates = list(range(dataset.n_classes))
+            candidates = range(dataset.n_classes)
         for c in candidates:
-            support = supports[c]
+            support = supports[row][c]
             confidence = support / coverage if coverage else 0.0
-            if confidence < min_conf:
-                continue
-            rules.append(ClassRule(
-                pattern_id=pattern.node_id,
-                items=pattern.items,
-                class_index=c,
-                coverage=coverage,
-                support=support,
-                confidence=confidence,
-                p_value=score(support, coverage, c),
-            ))
+            if confidence >= min_conf:
+                picked.append((row, c, support, confidence))
+    p_values = _score(scorer, caches, n, class_supports, rule_patterns,
+                      picked)
+    rules: List[ClassRule] = []
+    for (row, c, support, confidence), p_value in zip(picked, p_values):
+        pattern = rule_patterns[row]
+        rules.append(ClassRule(
+            pattern_id=pattern.node_id,
+            items=pattern.items,
+            class_index=c,
+            coverage=pattern.support,
+            support=support,
+            confidence=confidence,
+            p_value=p_value,
+        ))
     return RuleSet(dataset=dataset, patterns=list(patterns), rules=rules,
                    min_sup=min_sup, scorer=scorer, caches=caches)
 
@@ -274,16 +277,55 @@ def _positively_associated_class(supports: Sequence[int], coverage: int,
     return best_class
 
 
-def _make_scorer(scorer: str, caches: Dict[int, BufferCache], n: int,
-                 class_supports: Sequence[int],
-                 ) -> Callable[[int, int, int], float]:
-    if scorer in ("fisher", "fisher-midp"):
-        # Mid-p vs exact is decided by how the caches were built; the
-        # lookup path is identical.
-        def fisher_score(support: int, coverage: int, c: int) -> float:
-            return caches[c].p_value(support, coverage)
-        return fisher_score
+#: Packed tidset bytes one support pass may hold at once; wider
+#: pattern sets are scored in row chunks of this size.
+_SUPPORT_CHUNK_BYTES = 16 * 1024 * 1024
 
-    def chi2_score(support: int, coverage: int, c: int) -> float:
-        return chi2_rule_p_value(support, n, class_supports[c], coverage)
-    return chi2_score
+
+def _class_supports(dataset: Dataset,
+                    patterns: Sequence[Pattern]) -> np.ndarray:
+    """``(n_patterns, n_classes)`` int64 matrix of ``|tidset ∩ class|``.
+
+    Tidsets are packed into a :class:`~repro.bitmat.BitMatrix` (in row
+    chunks bounded by ``_SUPPORT_CHUNK_BYTES``) and counted with the
+    packed kernel; with two classes the class-1 column derives from
+    the coverage.
+    """
+    n = dataset.n_records
+    n_classes = dataset.n_classes
+    out = np.empty((len(patterns), n_classes), dtype=np.int64)
+    if not patterns:
+        return out
+    labels = np.asarray(dataset.class_labels, dtype=np.int64)
+    counted = [0] if n_classes == 2 else list(range(n_classes))
+    indicators = np.stack([labels == c for c in counted])
+    chunk = max(1, _SUPPORT_CHUNK_BYTES // (8 * max(1, words_per_row(n))))
+    for start in range(0, len(patterns), chunk):
+        block = patterns[start:start + chunk]
+        matrix = BitMatrix.from_tidsets(
+            [as_tidvector(p.tidset, n) for p in block], n)
+        out[start:start + len(block), counted] = \
+            matrix.class_supports_batch(indicators).T
+    if n_classes == 2:
+        coverages = np.array([p.support for p in patterns], dtype=np.int64)
+        out[:, 1] = coverages - out[:, 0]
+    return out
+
+
+def _score(scorer: str, caches: Dict[int, BufferCache], n: int,
+           class_supports: Sequence[int], patterns: Sequence[Pattern],
+           picked: Sequence[tuple]) -> List[float]:
+    """P-values of the picked ``(row, class, support, _)`` rules."""
+    if not picked:
+        return []
+    if scorer == "chi2":
+        return [chi2_rule_p_value(support, n, class_supports[c],
+                                  patterns[row].support)
+                for row, c, support, _ in picked]
+    # Mid-p vs exact is decided by how the caches were built; the
+    # lookup path is identical.
+    rows, classes, supports, _ = (np.array(column) for column
+                                  in zip(*picked))
+    coverages = np.array([p.support for p in patterns],
+                         dtype=np.int64)[rows.astype(np.int64)]
+    return batch_p_values(caches, classes, coverages, supports).tolist()

@@ -6,7 +6,8 @@ width float long before the dataset sizes used here, the buffer holds
 *logarithms* of factorials, exactly as the paper prescribes ("we store
 the logarithm of the factorials in the buffer"). The buffer grows
 incrementally and is shared process-wide through
-:func:`default_buffer`.
+:func:`default_buffer`. :meth:`LogFactorialBuffer.as_array` hands the
+same values to the native p-value kernel as a float64 array.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ from __future__ import annotations
 import math
 import threading
 from typing import List
+
+import numpy as np
 
 from ..errors import StatsError
 
@@ -31,6 +34,9 @@ class LogFactorialBuffer:
         if initial_capacity < 0:
             raise StatsError("initial capacity must be non-negative")
         self._table: List[float] = [0.0]
+        # Float64 copy of ``_table`` for the native kernels; replaced
+        # (never mutated) under ``_grow_lock`` when it falls short.
+        self._mirror = np.zeros(0)
         self._grow_lock = threading.Lock()
         self.ensure(initial_capacity)
 
@@ -38,14 +44,17 @@ class LogFactorialBuffer:
         return len(self._table)
 
     # Buffers travel to process workers inside pickled rulesets and
-    # caches; the growth lock is process-local state, not data.
+    # caches; the growth lock is process-local state, not data, and
+    # the mirror is a derived copy rebuilt on demand.
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
         del state["_grow_lock"]
+        del state["_mirror"]
         return state
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
+        self._mirror = np.zeros(0)
         self._grow_lock = threading.Lock()
 
     @property
@@ -69,6 +78,26 @@ class LogFactorialBuffer:
         with self._grow_lock:
             for k in range(len(table), n + 1):
                 table.append(table[-1] + math.log(k))
+
+    def as_array(self, n: int) -> np.ndarray:
+        """``ln(k!)`` for ``k = 0..capacity`` (at least ``n``) as float64.
+
+        The values are the table's own floats, so a kernel reading
+        them computes exactly what :meth:`log_binomial` does. The
+        array is shared and must not be written to; it is rebuilt
+        whole, under the growth lock, only when it falls short of
+        ``n``.
+        """
+        self.ensure(n)
+        mirror = self._mirror
+        if len(mirror) > n:
+            return mirror
+        with self._grow_lock:
+            if len(self._mirror) <= n:
+                mirror = np.array(self._table, dtype=np.float64)
+                mirror.flags.writeable = False
+                self._mirror = mirror
+            return self._mirror
 
     def log_factorial(self, k: int) -> float:
         """Return ``ln(k!)``, growing the table if needed."""

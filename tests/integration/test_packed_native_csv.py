@@ -9,7 +9,10 @@ these tests pin the two guarantees that made that safe:
   permutation CSV output for every registered miner;
 * **arm identity** — for every miner, the packed permutation engine
   and the bigint ``"bitset"`` ablation arm (:mod:`repro.ablation`)
-  compute identical permutation statistics.
+  compute identical permutation statistics;
+* **p-value kernel identity** — buffers built by the native
+  ``repro_pvalue_buffer`` kernel and by its Python twin give
+  byte-identical CSVs, for exact and mid-p scoring.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from repro.core.pipeline import Pipeline
 from repro.corrections import PermutationEngine
 from repro.data import Dataset, GeneratorConfig, generate
 from repro.evaluation.export import rules_to_csv
+from repro.stats import pvalue_buffer
 
 MINERS = ("closed", "apriori", "fpgrowth", "representative")
 
@@ -64,6 +68,38 @@ class TestBigintIngestIdentity:
             paths.append(out)
         assert filecmp.cmp(*paths, shallow=False), \
             f"{algorithm}/{correction}: packed-native != bigint ingest"
+
+    def test_midp_bh_csv_identical(self, data, bigint_clone, tmp_path):
+        paths = []
+        for tag, dataset in (("packed", data), ("bigint", bigint_clone)):
+            pipe = Pipeline(min_sup=30, corrections=("BH",),
+                            scorer="fisher-midp")
+            out = tmp_path / f"midp_bh_{tag}.csv"
+            rules_to_csv(pipe.run(dataset)["BH"].significant, dataset,
+                         str(out))
+            paths.append(out)
+        assert filecmp.cmp(*paths, shallow=False)
+
+
+class TestPValueKernelIdentity:
+    @pytest.mark.parametrize("scorer", ["fisher", "fisher-midp"])
+    @pytest.mark.parametrize("correction", ["BH", "RH_BH", "Perm_FWER"])
+    def test_kernel_and_python_twin_csv_identical(
+            self, data, tmp_path, monkeypatch, scorer, correction):
+        paths = []
+        for tag in ("loaded", "twin"):
+            if tag == "twin":
+                # The twin runs whenever the suite is unavailable.
+                monkeypatch.setattr(pvalue_buffer, "load_suite",
+                                    lambda: None)
+            pipe = Pipeline(min_sup=20, corrections=(correction,),
+                            scorer=scorer, n_permutations=40, seed=0)
+            out = tmp_path / f"{scorer}_{correction}_{tag}.csv"
+            rules_to_csv(pipe.run(data)[correction].significant, data,
+                         str(out))
+            paths.append(out)
+        assert filecmp.cmp(*paths, shallow=False), \
+            f"{scorer}/{correction}: native kernel != Python twin"
 
 
 class TestMinerPolicyIdentity:

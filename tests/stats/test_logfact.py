@@ -112,12 +112,51 @@ class TestThreadSafety:
             assert buf.log_factorial(k) == pytest.approx(
                 math.lgamma(k + 1), rel=1e-12)
 
+    def test_concurrent_mirror_matches_table(self):
+        """as_array() from many threads while the table grows: every
+        caller gets a float64 copy covering its n whose entries are
+        the table's own floats."""
+        import sys
+        import threading
+
+        buf = LogFactorialBuffer(0)
+        targets = [500 * (i + 1) for i in range(12)]
+        barrier = threading.Barrier(len(targets))
+        seen = {}
+
+        def mirror(n):
+            barrier.wait()
+            for step in range(n // 4, n + 1, n // 4):
+                seen[(n, step)] = buf.as_array(step)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=mirror, args=(n,))
+                       for n in targets]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(seen) == 4 * len(targets)
+        table = [buf.log_factorial(k) for k in range(max(targets) + 1)]
+        for (_, step), array in seen.items():
+            assert len(array) > step
+            assert not array.flags.writeable
+            assert array.tolist() == table[:len(array)]
+
     def test_buffer_pickles_without_its_lock(self):
         import pickle
 
         buf = LogFactorialBuffer(100)
+        buf.as_array(100)
         clone = pickle.loads(pickle.dumps(buf))
         assert clone.capacity == buf.capacity
         clone.ensure(200)  # the restored lock works
         assert clone.log_factorial(200) == pytest.approx(
             default_buffer().log_factorial(200))
+        assert clone.as_array(200).tolist() == [
+            clone.log_factorial(k) for k in range(len(clone))]
